@@ -8,19 +8,65 @@ checkable against finite differences, and output spaces stay enumerable.
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    return shifted - np.log(np.exp(shifted).sum())
+    """Log-softmax over the last axis: one row, or every row of a table."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _entropy_with_grad(lp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy of each row of log-probs, and its gradient in that row's logits."""
+    p = np.exp(lp)
+    h = -(p * lp).sum(axis=-1)
+    return h, -p * (lp + h[..., None])
+
+
+def _prompt_crc(prompt_key: str) -> int:
+    """CRC-32 of the prompt part of every context key of one sequence."""
+    return zlib.crc32(prompt_key.encode("utf-8") + b"\x1f")
+
+
+def _context_bucket(
+    prompt_crc: int, prev_tokens: Sequence[str], context_size: int, n_contexts: int
+) -> int:
+    """Row of the context (prompt, last context_size tokens): the CRC-32 of
+    prompt, then the window, joined by unit separators."""
+    window = tuple(prev_tokens)[-context_size:]
+    return zlib.crc32("\x1f".join(window).encode("utf-8"), prompt_crc) % n_contexts
+
+
+class TokenPath(NamedTuple):
+    """Where a token sequence reads the policy: the context row and the
+    vocabulary index of each token. It depends on the prompt and the tokens,
+    not on theta."""
+
+    rows: tuple[int, ...]
+    idxs: tuple[int, ...]
+
+
+# Generator.choice(p=...) rejects rows whose sum is further than this from 1
+_SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 @dataclass
 class ToyPolicy:
+    """Logit table over hashed contexts: the parameters GRPO and SFT update.
+
+    Sampling and sequence log-probs read a PolicySnapshot, the frozen
+    distribution at the current theta; `sample`, `log_prob` and
+    `log_prob_with_grad` here take a fresh one on every call, so they always
+    see theta as it is now, in-place changes included. Callers that read
+    one distribution many times (a GRPO step) take the snapshot once.
+    """
+
     vocab: tuple[str, ...]
     theta: np.ndarray  # (n_contexts, V) logit table
     context_size: int = 2
@@ -65,6 +111,9 @@ class ToyPolicy:
             eos_token=self.eos_token,
         )
 
+    def snapshot(self) -> "PolicySnapshot":
+        return PolicySnapshot(self)
+
     def token_index(self, token: str) -> int:
         try:
             return self._index[token]
@@ -72,9 +121,9 @@ class ToyPolicy:
             raise ValueError(f"token {token!r} is outside the vocabulary")
 
     def bucket(self, prompt_key: str, prev_tokens: Sequence[str]) -> int:
-        window = tuple(prev_tokens)[-self.context_size:]
-        key = prompt_key + "\x1f" + "\x1f".join(window)
-        return zlib.crc32(key.encode("utf-8")) % self.n_contexts
+        return _context_bucket(
+            _prompt_crc(prompt_key), prev_tokens, self.context_size, self.n_contexts
+        )
 
     def log_probs_at(self, bucket: int) -> np.ndarray:
         return _log_softmax(self.theta[bucket])
@@ -83,51 +132,135 @@ class ToyPolicy:
         return np.exp(self.log_probs_at(bucket))
 
     def log_prob(self, prompt_key: str, tokens: Sequence[str]) -> float:
-        logp = 0.0
-        for t, token in enumerate(tokens):
-            b = self.bucket(prompt_key, tokens[:t])
-            logp += self.log_probs_at(b)[self.token_index(token)]
-        return float(logp)
+        return self.snapshot().log_prob(prompt_key, tokens)
 
     def log_prob_with_grad(
         self, prompt_key: str, tokens: Sequence[str]
-    ) -> tuple[float, np.ndarray, tuple[int, ...]]:
-        """Exact log-prob, its gradient in theta, and the visited buckets."""
-        grad = np.zeros_like(self.theta)
-        logp = 0.0
-        visited = []
-        for t, token in enumerate(tokens):
-            b = self.bucket(prompt_key, tokens[:t])
-            visited.append(b)
-            lp = self.log_probs_at(b)
-            idx = self.token_index(token)
-            logp += lp[idx]
-            grad[b] -= np.exp(lp)
-            grad[b, idx] += 1.0
-        return float(logp), grad, tuple(visited)
+    ) -> tuple[float, np.ndarray, np.ndarray]:
+        """See PolicySnapshot.log_prob_with_grad."""
+        return self.snapshot().log_prob_with_grad(prompt_key, tokens)
 
     def sample(self, prompt_key: str, rng: np.random.Generator) -> tuple[str, ...]:
         """Seeded ancestral sampling, terminated by the end token or max_length."""
+        return self.snapshot().sample(prompt_key, rng)
+
+    def entropy_at(self, bucket: int) -> float:
+        return float(_entropy_with_grad(self.log_probs_at(bucket))[0])
+
+    def entropy_with_grad(self, bucket: int) -> tuple[float, np.ndarray]:
+        h, row = _entropy_with_grad(self.log_probs_at(bucket))
+        grad = np.zeros_like(self.theta)
+        grad[bucket] = row
+        return float(h), grad
+
+
+class PolicySnapshot:
+    """The distribution of a ToyPolicy at one theta, frozen: GRPO's old policy.
+
+    Taking one computes the log-softmax of every context row in one
+    vectorised op. The first draw builds the row CDFs and checks once that
+    every row is a distribution, the check Generator.choice(p=row) makes on
+    each draw. Its tables are copies, read-only, so later updates to the
+    policy never reach it; take a new snapshot after theta changes.
+    Sampling, log-probs and gradients all read the same tables.
+    """
+
+    def __init__(self, policy: ToyPolicy):
+        self.vocab = policy.vocab
+        self.context_size = policy.context_size
+        self.max_length = policy.max_length
+        self.eos_token = policy.eos_token
+        self.n_contexts = policy.n_contexts
+        self._index = policy._index
+        self.log_probs = _log_softmax(policy.theta)
+        self.probs = np.exp(self.log_probs)
+        self.log_probs.flags.writeable = False
+        self.probs.flags.writeable = False
+
+    def snapshot(self) -> "PolicySnapshot":
+        return self
+
+    @cached_property
+    def _cdf_rows(self) -> list[list[float]]:
+        ok = np.all(self.probs >= 0, axis=1) & (
+            np.abs(self.probs.sum(axis=1) - 1.0) <= _SUM_ATOL
+        )
+        if not ok.all():
+            raise ValueError(
+                f"context row {int(np.argmin(ok))} is not a probability distribution"
+            )
+        # the cumsum and normalisation Generator.choice(p=row) uses
+        cdf = np.cumsum(self.probs, axis=1)
+        cdf /= cdf[:, -1:]
+        return cdf.tolist()
+
+    def path(self, prompt_key: str, tokens: Sequence[str]) -> TokenPath:
+        crc = _prompt_crc(prompt_key)
+        rows = tuple(
+            _context_bucket(crc, tokens[:t], self.context_size, self.n_contexts)
+            for t in range(len(tokens))
+        )
+        try:
+            idxs = tuple(self._index[tok] for tok in tokens)
+        except KeyError as e:
+            raise ValueError(f"token {e.args[0]!r} is outside the vocabulary")
+        return TokenPath(rows, idxs)
+
+    def path_log_prob(self, path: TokenPath) -> float:
+        logp = 0.0
+        for lp in self.log_probs[path.rows, path.idxs].tolist():  # in token order
+            logp += lp
+        return logp
+
+    def path_grad(self, path: TokenPath) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of theta the path's log-prob depends on, in order of first
+        visit, and its gradient in those rows; it is zero in every other row."""
+        grads: dict[int, np.ndarray] = {}
+        for b, idx in zip(path.rows, path.idxs):
+            row = grads.get(b)
+            if row is None:
+                row = grads[b] = 0.0 - self.probs[b]
+            else:
+                row -= self.probs[b]
+            row[idx] += 1.0
+        rows = np.fromiter(grads, dtype=np.intp, count=len(grads))
+        return rows, np.array(list(grads.values())).reshape(len(grads), len(self.vocab))
+
+    def log_prob(self, prompt_key: str, tokens: Sequence[str]) -> float:
+        return self.path_log_prob(self.path(prompt_key, tokens))
+
+    def log_prob_with_grad(
+        self, prompt_key: str, tokens: Sequence[str]
+    ) -> tuple[float, np.ndarray, np.ndarray]:
+        """Exact log-prob, then path_grad: the rows it depends on and its
+        gradient in them."""
+        path = self.path(prompt_key, tokens)
+        return (self.path_log_prob(path), *self.path_grad(path))
+
+    def draw(
+        self, prompt_key: str, rng: np.random.Generator
+    ) -> tuple[tuple[str, ...], float, TokenPath]:
+        """One seeded ancestral sample, its log-prob and its path. Each token
+        takes one uniform from rng and inverts the row CDF (searchsorted,
+        side right), which is the draw rng.choice(V, p=row) makes."""
+        cdf = self._cdf_rows
+        crc = _prompt_crc(prompt_key)
         tokens: list[str] = []
+        rows: list[int] = []
+        idxs: list[int] = []
         for _ in range(self.max_length):
-            b = self.bucket(prompt_key, tokens)
-            idx = int(rng.choice(len(self.vocab), p=self.probs_at(b)))
+            b = _context_bucket(crc, tokens, self.context_size, self.n_contexts)
+            idx = bisect_right(cdf[b], rng.random())
+            rows.append(b)
+            idxs.append(idx)
             tokens.append(self.vocab[idx])
             if tokens[-1] == self.eos_token:
                 break
-        return tuple(tokens)
+        path = TokenPath(tuple(rows), tuple(idxs))
+        return tuple(tokens), self.path_log_prob(path), path
 
-    def entropy_at(self, bucket: int) -> float:
-        lp = self.log_probs_at(bucket)
-        return float(-(np.exp(lp) * lp).sum())
-
-    def entropy_with_grad(self, bucket: int) -> tuple[float, np.ndarray]:
-        lp = self.log_probs_at(bucket)
-        p = np.exp(lp)
-        h = float(-(p * lp).sum())
-        grad = np.zeros_like(self.theta)
-        grad[bucket] = -p * (lp + h)
-        return h, grad
+    def sample(self, prompt_key: str, rng: np.random.Generator) -> tuple[str, ...]:
+        return self.draw(prompt_key, rng)[0]
 
 
 @dataclass(frozen=True)
@@ -192,30 +325,35 @@ class GroupBatch:
     logp_old: np.ndarray
     rewards: Optional[np.ndarray] = None
     advantages: Optional[np.ndarray] = None
+    # each output's path, recorded by sample_group; None makes grpo_objective
+    # hash the outputs itself
+    paths: Optional[tuple[TokenPath, ...]] = None
 
     def __post_init__(self) -> None:
         if len(self.outputs) != len(self.logp_old):
             raise ValueError("outputs and logp_old must have equal length")
+        if self.paths is not None and len(self.paths) != len(self.outputs):
+            raise ValueError("outputs and paths must have equal length")
 
 
 def sample_group(
-    policy_old: ToyPolicy, prompt_key: str, group_size: int, seed: int
+    policy_old: PolicySnapshot | ToyPolicy, prompt_key: str, group_size: int, seed: int
 ) -> GroupBatch:
-    """G independent seeded samples from the frozen policy, with their
-    old-policy log-probs recorded for the importance ratio."""
+    """G independent samples from the old policy, sample i drawn with rng
+    seeded [seed, i]; a ToyPolicy is snapshotted first. Each sample's log-prob
+    under the snapshot, summed as it is drawn, goes to logp_old for the
+    importance ratio, and the context rows it visited to paths."""
     if group_size < 2:
         raise ValueError("group_size must be >= 2")
-    outputs = []
-    logp_old = []
-    for i in range(group_size):
-        rng = np.random.default_rng([seed, i])
-        tokens = policy_old.sample(prompt_key, rng)
-        outputs.append(tokens)
-        logp_old.append(policy_old.log_prob(prompt_key, tokens))
+    snap = policy_old.snapshot()
+    outputs, logp_old, paths = zip(
+        *(snap.draw(prompt_key, np.random.default_rng([seed, i])) for i in range(group_size))
+    )
     return GroupBatch(
         prompt_key=prompt_key,
-        outputs=tuple(outputs),
+        outputs=outputs,
         logp_old=np.array(logp_old),
+        paths=paths,
     )
 
 
@@ -246,25 +384,29 @@ def kl_penalty(
 
 def grpo_objective(
     policy: ToyPolicy,
-    policy_old: ToyPolicy,
     batch: GroupBatch,
     cfg: GrpoConfig,
 ) -> tuple[float, np.ndarray]:
     """Clipped-surrogate group objective with KL penalty and entropy bonus;
-    returns the value and its exact gradient in theta."""
+    returns the value and its exact gradient in theta. It reads one snapshot
+    of `policy` taken at the call, and its gradient is non-zero only in the
+    rows the batch's outputs visit."""
     if batch.rewards is None or batch.advantages is None:
         raise ValueError("batch must have rewards and advantages filled")
     if len(batch.outputs) != len(batch.advantages):
         raise ValueError("mismatched group size")
+    snap = policy.snapshot()
+    paths = batch.paths or [snap.path(batch.prompt_key, o) for o in batch.outputs]
     G = len(batch.outputs)
     eps = cfg.clip_eps
     value = 0.0
     grad = np.zeros_like(policy.theta)
     visited: set[int] = set()
-    for i, output in enumerate(batch.outputs):
+    for i, path in enumerate(paths):
         a = float(batch.advantages[i])
-        logp_new, glogp, buckets = policy.log_prob_with_grad(batch.prompt_key, output)
-        visited.update(buckets)
+        logp_new = snap.path_log_prob(path)
+        rows, glogp = snap.path_grad(path)
+        visited.update(path.rows)
         rho = float(np.exp(logp_new - batch.logp_old[i]))
         if cfg.clip_mode == "standard":
             unclipped = rho * a
@@ -275,24 +417,24 @@ def grpo_objective(
             if unclipped <= clipped or (1 - eps < rho < 1 + eps):
                 gsurr = a * rho * glogp
             else:
-                gsurr = np.zeros_like(glogp)
+                gsurr = 0.0
         else:  # literal: min over the three scalars, then times A
             m = min(rho, 1 - eps)  # min(rho, 1-eps, 1+eps)
             surr = m * a
-            gsurr = a * rho * glogp if rho < 1 - eps else np.zeros_like(glogp)
+            gsurr = a * rho * glogp if rho < 1 - eps else 0.0
         kl = kl_penalty(batch.logp_old[i], logp_new, cfg.kl_estimator)
         if cfg.kl_estimator == "log_ratio":
             gkl = -glogp
         else:
             gkl = (np.exp(logp_new - batch.logp_old[i]) - 1.0) * glogp
         value += surr - cfg.kl_coef * kl
-        grad += gsurr - cfg.kl_coef * gkl
+        grad[rows] += gsurr - cfg.kl_coef * gkl
     value /= G
     grad /= G
     if cfg.entropy_coef > 0 and visited:
         buckets = sorted(visited)
-        for b in buckets:
-            h, gh = policy.entropy_with_grad(b)
-            value += cfg.entropy_coef * h / len(buckets)
-            grad += cfg.entropy_coef * gh / len(buckets)
+        h, gh = _entropy_with_grad(snap.log_probs[buckets])
+        for hb in h.tolist():
+            value += cfg.entropy_coef * hb / len(buckets)
+        grad[buckets] += cfg.entropy_coef * gh / len(buckets)
     return float(value), grad

@@ -25,6 +25,7 @@ from .core import (
 from .policy import (
     GrpoConfig,
     GroupBatch,
+    PolicySnapshot,
     SftBatch,
     ToyPolicy,
     advantages,
@@ -158,7 +159,7 @@ def _group_rewards(
 
 
 def _probe_factuality(
-    policy: ToyPolicy,
+    policy: PolicySnapshot,
     probe_samples: list[VqaSample],
     matcher,
     group_size: int,
@@ -186,9 +187,10 @@ def train_grpo(
     probe_every: int = 25,
 ) -> tuple[ToyPolicy, list[StepStats]]:
     """Full-batch updates: every step samples one group per prompt from the
-    frozen old policy, then applies one averaged optimizer step. The old
-    policy is refreshed each step. Fully deterministic given (corpus,
-    config, seed)."""
+    old policy, then applies one averaged optimizer step. The old policy is
+    a snapshot taken after each update: it serves that step's KL estimate
+    and probe, then the next step's sampling. Fully deterministic given
+    (corpus, config, seed)."""
     if len(corpus) == 0:
         raise PresetError("grpo stage: empty corpus")
     samples = sorted(corpus.samples, key=lambda s: s.id)
@@ -196,13 +198,13 @@ def train_grpo(
         s for s in samples if s.partition is PartitionTag.REASONING_AUGMENTED
     ]
     policy = policy.copy()
+    policy_old = policy.snapshot()
     stats = []
     for step in range(cfg.steps):
-        policy_old = policy.copy()
         grad = np.zeros_like(policy.theta)
         all_breakdowns = []
         all_rewards = []
-        kl_batches = []
+        batches = []
         for j, sample in enumerate(samples):
             part = sample.partition
             prompt = render_instruction(sample, prompt_mode_for(sample))
@@ -217,27 +219,30 @@ def train_grpo(
             )
             batch.rewards = np.array([b.total for b in breakdowns])
             batch.advantages = advantages(batch.rewards)
-            _, g = grpo_objective(policy, policy_old, batch, cfg)
+            _, g = grpo_objective(policy, batch, cfg)
             grad += g
             all_breakdowns.extend(breakdowns)
             all_rewards.append(batch.rewards)
-            kl_batches.append((prompt, batch))
+            batches.append(batch)
         grad /= len(samples)
         policy.theta = policy.theta + cfg.learning_rate * grad
+        # the updated policy, frozen: the probe and the KL estimate read it
+        # now, and the next step samples from it as its old policy
+        policy_old = policy.snapshot()
 
         probe = None
         if step == 0 or step == cfg.steps - 1 or (step + 1) % probe_every == 0:
             probe = _probe_factuality(
-                policy,
+                policy_old,
                 probe_samples,
                 reward_cfg.matcher,
                 cfg.group_size,
                 seed=cfg.seed * 7_368_787 + step,
             )
         kl_new = [
-            b.logp_old[i] - policy.log_prob(prompt, o)
-            for prompt, b in kl_batches
-            for i, o in enumerate(b.outputs)
+            b.logp_old[i] - policy_old.path_log_prob(path)
+            for b in batches
+            for i, path in enumerate(b.paths)
         ]
         stats.append(
             StepStats(

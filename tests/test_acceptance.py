@@ -315,9 +315,9 @@ def test_criterion_06_gradient_checks():
         eps = cfg.clip_eps
         if any(abs(r - (1 - eps)) < 1e-3 or abs(r - (1 + eps)) < 1e-3 for r in rhos):
             continue
-        _, grad = grpo_objective(policy, policy_old, batch, cfg)
+        _, grad = grpo_objective(policy, batch, cfg)
         fd = _fd_gradient(
-            lambda: grpo_objective(policy, policy_old, batch, cfg)[0], policy.theta
+            lambda: grpo_objective(policy, batch, cfg)[0], policy.theta
         )
         worst = max(worst, _rel_err(grad, fd))
         checked += 1

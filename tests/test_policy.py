@@ -1,8 +1,9 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radreason.policy import (
@@ -97,6 +98,112 @@ class TestToyPolicy:
         h, grad = policy.entropy_with_grad(3)
         fd = finite_difference(lambda: policy.entropy_at(3), policy.theta)
         assert np.max(np.abs(grad - fd)) < 1e-7
+
+
+def reference_log_probs(policy, prompt_key, prev_tokens):
+    """Row-wise log-softmax of the context row, hashed from the whole key."""
+    window = tuple(prev_tokens)[-policy.context_size:]
+    key = prompt_key + "\x1f" + "\x1f".join(window)
+    row = policy.theta[zlib.crc32(key.encode("utf-8")) % policy.n_contexts]
+    shifted = row - row.max()
+    return shifted - np.log(np.exp(shifted).sum())
+
+
+def reference_sample(policy, prompt_key, rng):
+    """One token at a time, each drawn by rng.choice from its row."""
+    tokens = []
+    for _ in range(policy.max_length):
+        probs = np.exp(reference_log_probs(policy, prompt_key, tokens))
+        tokens.append(policy.vocab[int(rng.choice(len(policy.vocab), p=probs))])
+        if tokens[-1] == policy.eos_token:
+            break
+    return tuple(tokens)
+
+
+def reference_log_prob(policy, prompt_key, tokens):
+    logp = 0.0
+    for t, token in enumerate(tokens):
+        logp += reference_log_probs(policy, prompt_key, tokens[:t])[
+            policy.token_index(token)
+        ]
+    return float(logp)
+
+
+class TestSnapshot:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        vocab_size=st.integers(1, 30),
+        n_contexts=st.integers(1, 32),
+        scale=st.floats(0.0, 40.0),
+        prompt=st.text(max_size=12),
+    )
+    def test_sampling_matches_rowwise_choice(
+        self, seed, vocab_size, n_contexts, scale, prompt
+    ):
+        vocab = tuple(f"t{i}" for i in range(vocab_size)) + ("<eos>",)
+        policy = random_policy(
+            np.random.default_rng(seed), n_contexts, vocab, scale, max_length=8
+        )
+        batch = sample_group(policy, prompt, 4, seed=seed)
+        for i, (out, lp) in enumerate(zip(batch.outputs, batch.logp_old)):
+            assert out == reference_sample(
+                policy, prompt, np.random.default_rng([seed, i])
+            )
+            assert lp == policy.log_prob(prompt, out) == reference_log_prob(
+                policy, prompt, out
+            )
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert policy.sample(prompt, rng_a) == reference_sample(policy, prompt, rng_b)
+
+    def test_calls_see_theta_mutated_in_place(self):
+        policy = ToyPolicy.uniform(VOCAB, n_contexts=8, max_length=4)
+        policy.theta[:, policy.token_index("a")] = 30.0
+        batch = sample_group(policy, "p", 2, seed=0)
+        batch.rewards = np.array([0.0, 1.0])
+        batch.advantages = advantages(batch.rewards)
+        cfg = GrpoConfig(group_size=2, kl_coef=0.01, entropy_coef=0.01)
+        snap = policy.snapshot()
+        before = (
+            policy.sample("p", np.random.default_rng(1)),
+            policy.log_prob("p", ("a", "<eos>")),
+            grpo_objective(policy, batch, cfg)[0],
+        )
+        assert before[0] == ("a",) * 4
+
+        policy.theta[:, policy.token_index("<eos>")] += 60.0
+        fresh = policy.copy()
+        after = (
+            policy.sample("p", np.random.default_rng(1)),
+            policy.log_prob("p", ("a", "<eos>")),
+            grpo_objective(policy, batch, cfg)[0],
+        )
+        assert after == (
+            fresh.sample("p", np.random.default_rng(1)),
+            fresh.log_prob("p", ("a", "<eos>")),
+            grpo_objective(fresh, batch, cfg)[0],
+        )
+        assert after[0] == ("<eos>",)
+        assert after[1] != before[1] and after[2] != before[2]
+        # a snapshot keeps the distribution it was taken at
+        assert snap.sample("p", np.random.default_rng(1)) == before[0]
+        assert snap.log_prob("p", ("a", "<eos>")) == before[1]
+
+    def test_log_prob_with_grad_matches_fd(self):
+        policy = random_policy(np.random.default_rng(10))
+        tokens = ("a", "b", "a", "b", "<eos>")
+        logp, rows, grad_rows = policy.log_prob_with_grad("p", tokens)
+        assert logp == policy.log_prob("p", tokens)
+        grad = np.zeros_like(policy.theta)
+        grad[rows] = grad_rows
+        fd = finite_difference(lambda: policy.log_prob("p", tokens), policy.theta)
+        assert np.max(np.abs(grad - fd)) < 1e-7
+
+    def test_non_finite_theta_refused_by_sampler(self):
+        policy = random_policy(np.random.default_rng(11))
+        policy.theta[3, 0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="row 3"):
+            policy.sample("p", np.random.default_rng(0))
 
 
 class TestSft:
@@ -210,7 +317,7 @@ class TestGrpoObjective:
         policy, policy_old, batch = make_group(0)
         empty = GroupBatch(batch.prompt_key, batch.outputs, batch.logp_old)
         with pytest.raises(ValueError, match="rewards"):
-            grpo_objective(policy, policy_old, empty, GrpoConfig())
+            grpo_objective(policy, empty, GrpoConfig())
 
     def test_sample_group_records_old_logp(self):
         _, policy_old, batch = make_group(1)
@@ -226,7 +333,7 @@ class TestGrpoObjective:
     def test_identical_policies_give_unit_ratio_value(self):
         _, policy_old, batch = make_group(3)
         cfg = GrpoConfig(group_size=4, kl_coef=0.0, entropy_coef=0.0)
-        value, _ = grpo_objective(policy_old, policy_old, batch, cfg)
+        value, _ = grpo_objective(policy_old, batch, cfg)
         # rho == 1 everywhere: value is the mean advantage, which is 0
         assert abs(value - float(batch.advantages.mean())) < 1e-12
 
@@ -241,9 +348,9 @@ class TestGrpoObjective:
             kl_coef=0.01,
             entropy_coef=0.01,
         )
-        _, grad = grpo_objective(policy, policy_old, batch, cfg)
+        _, grad = grpo_objective(policy, batch, cfg)
         fd = finite_difference(
-            lambda: grpo_objective(policy, policy_old, batch, cfg)[0], policy.theta
+            lambda: grpo_objective(policy, batch, cfg)[0], policy.theta
         )
         assert np.max(np.abs(grad - fd)) < 1e-6
 
@@ -266,10 +373,10 @@ class TestGrpoObjective:
         assert math.exp(policy.log_prob("p", output) - batch.logp_old[0]) > 1.2
         base = dict(kl_coef=0.0, entropy_coef=0.0)
         v_std, _ = grpo_objective(
-            policy, policy_old, batch, GrpoConfig(clip_mode="standard", **base)
+            policy, batch, GrpoConfig(clip_mode="standard", **base)
         )
         v_lit, _ = grpo_objective(
-            policy, policy_old, batch, GrpoConfig(clip_mode="literal", **base)
+            policy, batch, GrpoConfig(clip_mode="literal", **base)
         )
         assert abs(v_std - 1.2) < 1e-12
         assert abs(v_lit - 0.8) < 1e-12
