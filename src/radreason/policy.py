@@ -359,14 +359,20 @@ def sample_group(
 
 def advantages(rewards: Sequence[float]) -> np.ndarray:
     """Group-normalized advantages: (r - mean) / population std; an all-equal
-    group yields all zeros rather than dividing by zero."""
+    group yields all zeros rather than dividing by zero.
+
+    The deviations are scaled to max |d| = 1 and centred again before the
+    division, so groups whose spread is a few ulps, or whose variance is
+    subnormal, still standardise to mean 0 and std 1."""
     r = np.asarray(rewards, dtype=float)
     if r.size < 2:
         raise ValueError("advantages need a group of at least 2 rewards")
-    std = r.std()
-    if std == 0.0:
+    if r.max() == r.min():
         return np.zeros_like(r)
-    return (r - r.mean()) / std
+    d = r - r.mean()
+    d /= np.abs(d).max()
+    d -= d.mean()
+    return d / d.std()
 
 
 def kl_penalty(

@@ -245,13 +245,24 @@ class TestAdvantages:
     def test_standardization(self, rewards):
         a = advantages(rewards)
         assert abs(a.mean()) < 1e-12
-        if np.std(rewards) == 0:
+        if max(rewards) == min(rewards):
             assert np.all(a == 0)
         else:
             assert abs(a.std() - 1.0) < 1e-9
 
     def test_all_equal_yields_zeros(self):
         assert np.all(advantages([0.5, 0.5, 0.5]) == 0)
+
+    @pytest.mark.parametrize(
+        "rewards, expected",
+        [
+            ([0.1, 0.1, 0.1], [0.0, 0.0, 0.0]),  # std of equal floats is 1.4e-17
+            ([0.0, 6.9e-159], [-1.0, 1.0]),  # subnormal variance
+            ([1.0, 1.0 + 2**-52], [-1.0, 1.0]),  # one ulp apart
+        ],
+    )
+    def test_degenerate_spreads(self, rewards, expected):
+        assert advantages(rewards).tolist() == expected
 
     def test_group_of_one_rejected(self):
         with pytest.raises(ValueError):
