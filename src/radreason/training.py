@@ -117,6 +117,8 @@ class StepStats:
     mean_process: Optional[float] = None
     mean_kl: Optional[float] = None
     process_factuality: Optional[float] = None  # probe on reasoning-augmented prompts
+    # share of groups whose rewards were all equal: zero advantage, no signal
+    zero_advantage_share: Optional[float] = None
 
     def as_record(self) -> dict:
         return {k: v for k, v in self.__dict__.items()}
@@ -254,6 +256,9 @@ def train_grpo(
                 mean_process=float(np.mean([b.process for b in all_breakdowns])),
                 mean_kl=float(np.mean(kl_new)),
                 process_factuality=probe,
+                zero_advantage_share=float(
+                    np.mean([r.max() == r.min() for r in all_rewards])
+                ),
             )
         )
     return policy, stats

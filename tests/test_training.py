@@ -135,8 +135,9 @@ class TestGrpoStage:
         )
         policy = make_toy_policy(corpus)
         before = policy.theta.copy()
-        trained, _ = train_grpo(policy, corpus, RewardConfig(), cfg)
+        trained, stats = train_grpo(policy, corpus, RewardConfig(), cfg)
         assert np.array_equal(trained.theta, before)
+        assert [s.zero_advantage_share for s in stats] == [1.0, 1.0]
 
     def test_stats_report_all_components(self, corpus):
         policy = make_toy_policy(corpus)
@@ -145,6 +146,7 @@ class TestGrpoStage:
             assert s.stage == "grpo"
             assert s.mean_reward is not None
             assert s.mean_kl is not None
+            assert 0.0 <= s.zero_advantage_share <= 1.0
         assert stats[0].process_factuality is not None
         assert stats[-1].process_factuality is not None
 
