@@ -171,7 +171,7 @@ class PolicySnapshot:
         self.max_length = policy.max_length
         self.eos_token = policy.eos_token
         self.n_contexts = policy.n_contexts
-        self._index = policy._index
+        self.token_index = policy.token_index
         self.log_probs = _log_softmax(policy.theta)
         self.probs = np.exp(self.log_probs)
         self.log_probs.flags.writeable = False
@@ -200,11 +200,7 @@ class PolicySnapshot:
             _context_bucket(crc, tokens[:t], self.context_size, self.n_contexts)
             for t in range(len(tokens))
         )
-        try:
-            idxs = tuple(self._index[tok] for tok in tokens)
-        except KeyError as e:
-            raise ValueError(f"token {e.args[0]!r} is outside the vocabulary")
-        return TokenPath(rows, idxs)
+        return TokenPath(rows, tuple(map(self.token_index, tokens)))
 
     def path_log_prob(self, path: TokenPath) -> float:
         logp = 0.0
