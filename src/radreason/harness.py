@@ -86,6 +86,35 @@ def write_manifest(out_dir: Path, config: dict, seed: int, matcher=None) -> None
 # ---------------------------------------------------------------------------
 # scoring driver
 
+def _read_outputs(outputs_path: str | Path) -> tuple[list[tuple[int, str, str]], list[dict]]:
+    """Stream an outputs file (JSONL: {"id", "output"}) into (line, id,
+    output) rows, and an error (id or None, line, reason) for each non-blank
+    line that is not a JSON object carrying both fields."""
+    rows: list[tuple[int, str, str]] = []
+    errors: list[dict] = []
+    with Path(outputs_path).open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line.rstrip("\n"))
+            except json.JSONDecodeError as e:
+                reason = f"invalid JSON at column {e.colno}: {e.msg}"
+                errors.append({"id": None, "line": lineno, "error": reason})
+                continue
+            if not isinstance(rec, dict):
+                errors.append({"id": None, "line": lineno, "error": "not a JSON object"})
+                continue
+            sample_id = str(rec["id"]) if "id" in rec else None
+            missing = [f for f in ("id", "output") if f not in rec]
+            if missing:
+                reason = "missing field " + ", ".join(repr(f) for f in missing)
+                errors.append({"id": sample_id, "line": lineno, "error": reason})
+                continue
+            rows.append((lineno, sample_id, str(rec["output"])))
+    return rows, errors
+
+
 def cmd_score(
     outputs_path: str | Path,
     corpus: Corpus,
@@ -96,17 +125,11 @@ def cmd_score(
 ) -> tuple[int, list[dict]]:
     """Score model outputs (JSONL: {"id", "output"}) against the corpus.
 
-    Emits one record per output, sorted by sample id; unresolvable or
-    unscorable ids are collected as errors and the run continues.
+    Emits one record per output, sorted by sample id; malformed lines and
+    unresolvable or unscorable ids are collected as errors, located by line
+    and sorted by (id, line), and the run continues.
     """
-    rows = []
-    for lineno, line in enumerate(
-        Path(outputs_path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if line.strip():
-            rec = json.loads(line)
-            rows.append((lineno, str(rec["id"]), str(rec["output"])))
-
+    rows, bad_lines = _read_outputs(outputs_path)
     by_id = {s.id: s for s in corpus.samples}
     cfg = RewardConfig(matcher=matcher, open_scorer=open_scorer)
 
@@ -135,7 +158,9 @@ def cmd_score(
             results = list(pool.map(_one, rows))
 
     records = sorted((r for r, _ in results if r), key=lambda r: r["id"])
-    errors = sorted((e for _, e in results if e), key=lambda e: e["id"])
+    errors = sorted(
+        [e for _, e in results if e] + bad_lines, key=lambda e: (e["id"] or "", e["line"])
+    )
     with Path(out_path).open("w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")

@@ -43,6 +43,8 @@ class MatchError(RuntimeError):
 
 
 _ARTICLES = ("a ", "an ", "the ")
+_NON_ALNUM_RE = re.compile(r"[^a-z0-9\s]")
+_SPACES_RE = re.compile(r"\s+")
 
 # markers that flag an observation as asserting normality / absence
 _NORMALISH_RE = re.compile(
@@ -54,8 +56,8 @@ _NORMALISH_RE = re.compile(
 def normalize_phrase(text: str) -> str:
     """Lowercase, strip punctuation, drop leading articles, collapse spaces."""
     t = text.lower().replace("_", " ")
-    t = re.sub(r"[^a-z0-9\s]", " ", t)
-    t = re.sub(r"\s+", " ", t).strip()
+    t = _NON_ALNUM_RE.sub(" ", t)
+    t = _SPACES_RE.sub(" ", t).strip()
     changed = True
     while changed:
         changed = False
@@ -200,6 +202,10 @@ _SCAFFOLD_PREFIXES = [
     r"consistent with\b",
 ]
 _SCAFFOLD_RES = [re.compile(rf"^\s*{p}\s*", re.IGNORECASE) for p in _SCAFFOLD_PREFIXES]
+# matches exactly when at least one pattern of _SCAFFOLD_RES matches
+_SCAFFOLD_ANY_RE = re.compile(
+    r"^\s*(?:" + "|".join(_SCAFFOLD_PREFIXES) + ")", re.IGNORECASE
+)
 
 # negation patterns over a normalized clause; group 1 is the scope
 _NEGATION_RES = [
@@ -224,14 +230,14 @@ _DROP_RES = [re.compile(r"^(?:the )?(?:correct |final )?answer is\b")]
 
 
 def _strip_scaffolding(clause: str) -> str:
-    changed = True
-    while changed:
-        changed = False
+    # a pass over _SCAFFOLD_RES changes the clause iff one of them matches at
+    # the start of the pass, so the pre-check ends the loop where the last,
+    # unchanging pass would have
+    while _SCAFFOLD_ANY_RE.match(clause):
         for rx in _SCAFFOLD_RES:
             new = rx.sub("", clause, count=1)
             if new != clause:
                 clause = new.lstrip(" ,")
-                changed = True
     return clause
 
 
@@ -287,6 +293,10 @@ def lexical_extract(text: str, role: Role) -> ObservationSet:
 # matcher backends
 
 
+# roles whose texts come from the corpus, so a run meets each one many times
+_REFERENCE_ROLES = frozenset({Role.REPORT, Role.GROUND_TRUTH})
+
+
 class LexicalMatcher:
     """Deterministic matcher: normalization + synonym folding + polarity."""
 
@@ -294,14 +304,48 @@ class LexicalMatcher:
 
     def __init__(self, synonyms: Optional[SynonymTable] = None):
         self.synonyms = synonyms if synonyms is not None else SynonymTable.bundled()
+        # (role, text) -> observation set of a reference text; see `extract`
+        self._references: dict[tuple[Role, str], ObservationSet] = {}
 
     def extract(self, text: str, role: Role) -> ObservationSet:
-        return lexical_extract(text, role)
+        """Observation set of `text`.
+
+        Report and ground-truth texts are memoised per matcher: a repeat
+        returns the set extracted the first time (sets are frozen, so it is
+        safe to share). Those texts come from the corpus, which bounds the
+        memo. Model texts are extracted on every call. Threads that race on
+        one new text at worst extract it twice, with equal results.
+        """
+        if role not in _REFERENCE_ROLES:
+            return lexical_extract(text, role)
+        key = (role, text)
+        obs = self._references.get(key)
+        if obs is None:
+            obs = self._references[key] = lexical_extract(text, role)
+        return obs
+
+    def _key(self, obs: Observation) -> tuple[Polarity, str]:
+        return obs.polarity, self.synonyms.fold(obs.normalized)
 
     def matches(self, a: Observation, b: Observation) -> bool:
-        if a.polarity is not b.polarity:
-            return False
-        return self.synonyms.fold(a.normalized) == self.synonyms.fold(b.normalized)
+        return self._key(a) == self._key(b)
+
+    def partition(
+        self, a: ObservationSet, b: ObservationSet
+    ) -> tuple[tuple[Observation, ...], tuple[Observation, ...]]:
+        """Split `a` into the observations that match some observation of
+        `b` and those that match none, each in the order of `a`.
+
+        Two observations match iff their (polarity, folded form) keys are
+        equal, so each side is folded once and the split is a set lookup:
+        O(len(a) + len(b)).
+        """
+        keys = {self._key(y) for y in b.items}
+        matched: list[Observation] = []
+        unmatched: list[Observation] = []
+        for x in a.items:
+            (matched if self._key(x) in keys else unmatched).append(x)
+        return tuple(matched), tuple(unmatched)
 
 
 class LlmMatcher:
@@ -348,28 +392,20 @@ class LlmMatcher:
             return False
         raise MatchError(f"unparseable match verdict: {raw!r}", raw)
 
+    def partition(
+        self, a: ObservationSet, b: ObservationSet
+    ) -> tuple[tuple[Observation, ...], tuple[Observation, ...]]:
+        """Split `a` into the observations that match some observation of
+        `b` and those that match none, each in the order of `a`.
 
-Matcher = LexicalMatcher  # default backend type alias
+        Verdicts may be asymmetric, so each x of `a` is asked against `b` in
+        order until one verdict is yes: every (x, y) pair is asked at most
+        once, and each x lands on exactly one side.
+        """
+        matched: list[Observation] = []
+        unmatched: list[Observation] = []
+        for x in a.items:
+            hit = any(self.matches(x, y) for y in b.items)
+            (matched if hit else unmatched).append(x)
+        return tuple(matched), tuple(unmatched)
 
-
-def extract_observations(text: str, role: Role, matcher) -> ObservationSet:
-    """Extract a deduplicated observation set from free text."""
-    return matcher.extract(text, role)
-
-
-def matches(a: Observation, b: Observation, matcher) -> bool:
-    return matcher.matches(a, b)
-
-
-def intersect_count(a: ObservationSet, b: ObservationSet, matcher) -> int:
-    """|{x in a : exists y in b with matches(x, y)}| — each element of the
-    left operand counts at most once."""
-    count = 0
-    for x in a.items:
-        if any(matcher.matches(x, y) for y in b.items):
-            count += 1
-    return count
-
-
-def unmatched(a: ObservationSet, b: ObservationSet, matcher) -> list[Observation]:
-    return [x for x in a.items if not any(matcher.matches(x, y) for y in b.items)]

@@ -83,8 +83,6 @@ def _match_close_ended(answer_text: str, sample: VqaSample) -> float:
 def entity_f1(prediction: str, reference: str, matcher=None) -> float:
     """Entity-level F1 between two free-text answers; the desk-scale stand-in
     for an external report-similarity scorer."""
-    from .observations import intersect_count
-
     matcher = matcher or LexicalMatcher()
     if not prediction.strip() or not reference.strip():
         return 0.0
@@ -92,8 +90,8 @@ def entity_f1(prediction: str, reference: str, matcher=None) -> float:
     ref = matcher.extract(reference, Role.GROUND_TRUTH)
     if len(pred) == 0 or len(ref) == 0:
         return 0.0
-    precision = intersect_count(pred, ref, matcher) / len(pred)
-    recall = intersect_count(ref, pred, matcher) / len(ref)
+    precision = len(matcher.partition(pred, ref)[0]) / len(pred)
+    recall = len(matcher.partition(ref, pred)[0]) / len(ref)
     if precision + recall == 0:
         return 0.0
     return 2 * precision * recall / (precision + recall)

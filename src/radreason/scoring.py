@@ -12,13 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import TaskType, VqaSample
-from .observations import (
-    ObservationSet,
-    Role,
-    intersect_count,
-    is_normalish,
-    unmatched,
-)
+from .observations import ObservationSet, Role, is_normalish
 from .tags import parse_tags
 
 
@@ -66,17 +60,17 @@ def factuality(
 ) -> RatioResult:
     """Proportion of model observations grounded in the report, with leniency
     credit for unmatched observations asserting normality/absence."""
-    matched = intersect_count(obs_model, obs_report, matcher)
-    credits = sum(1 for x in unmatched(obs_model, obs_report, matcher) if is_normalish(x))
-    value, degenerate = _ratio(matched + credits, len(obs_model))
-    return RatioResult(value, matched, len(obs_model), credits, degenerate)
+    matched, unmatched = matcher.partition(obs_model, obs_report)
+    credits = sum(1 for x in unmatched if is_normalish(x))
+    value, degenerate = _ratio(len(matched) + credits, len(obs_model))
+    return RatioResult(value, len(matched), len(obs_model), credits, degenerate)
 
 
 def completeness(
     obs_gt: ObservationSet, obs_model: ObservationSet, matcher
 ) -> RatioResult:
     """Proportion of ground-truth observations covered by the model."""
-    matched = intersect_count(obs_gt, obs_model, matcher)
+    matched = len(matcher.partition(obs_gt, obs_model)[0])
     value, degenerate = _ratio(matched, len(obs_gt))
     return RatioResult(value, matched, len(obs_gt), 0, degenerate)
 
@@ -85,7 +79,7 @@ def effectiveness(
     obs_model: ObservationSet, obs_gt: ObservationSet, matcher
 ) -> RatioResult:
     """Proportion of model observations present in the ground-truth reasoning."""
-    matched = intersect_count(obs_model, obs_gt, matcher)
+    matched = len(matcher.partition(obs_model, obs_gt)[0])
     value, degenerate = _ratio(matched, len(obs_model))
     return RatioResult(value, matched, len(obs_model), 0, degenerate)
 

@@ -113,6 +113,44 @@ class TestCmdScore:
         assert n == len(corpus)
         assert [e["id"] for e in errors] == ["ghost"]
 
+    def test_malformed_lines_located(self, mined_bundle, matcher, tmp_path):
+        bundle, _ = mined_bundle
+        corpus = load_corpus(bundle.record_file("train", "R"))
+        good = [json.dumps(rec) for rec in self._outputs_for(corpus)]
+        lines = good[:1] + [
+            json.dumps({"output": "<answer>A</answer>"}),
+            '{"id": "x", "output": "<think>trunc',
+            "",
+            json.dumps({"id": corpus.samples[1].id}),
+            "[1, 2]",
+        ] + good[1:]
+        outputs_path = tmp_path / "outputs.jsonl"
+        outputs_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        scores_path = tmp_path / "s.jsonl"
+        n, errors = cmd_score(outputs_path, corpus, matcher, scores_path)
+        assert n == len(corpus)
+        assert errors == [
+            {"id": None, "line": 2, "error": "missing field 'id'"},
+            {"id": None, "line": 3,
+             "error": "invalid JSON at column 23: Unterminated string starting at"},
+            {"id": None, "line": 6, "error": "not a JSON object"},
+            {"id": corpus.samples[1].id, "line": 5, "error": "missing field 'output'"},
+        ]
+        written = [json.loads(line) for line in scores_path.read_text().splitlines()]
+        assert [r["error_record"] for r in written if "error_record" in r] == errors
+
+    def test_malformed_lines_exit_with_sample_errors(self, mined_bundle, tmp_path):
+        from radreason.cli import main
+
+        bundle, _ = mined_bundle
+        outputs_path = tmp_path / "outputs.jsonl"
+        outputs_path.write_text('{"output": "x"}\n{"id": "a", "out\n', encoding="utf-8")
+        rc = main(["score", str(bundle.record_file("train", "R")), str(outputs_path),
+                   "--out", str(tmp_path / "s.jsonl")])
+        assert rc == EXIT_SAMPLE_ERRORS
+        lines = (tmp_path / "s.jsonl").read_text().splitlines()
+        assert [json.loads(line)["error_record"]["line"] for line in lines] == [1, 2]
+
     def test_worker_counts_agree(self, mined_bundle, matcher, tmp_path):
         bundle, _ = mined_bundle
         corpus = load_corpus(bundle.record_file("train", "R"))

@@ -3,18 +3,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from radreason.observations import (
+    _SCAFFOLD_RES,
     LexicalMatcher,
     Observation,
     ObservationSet,
     Polarity,
     Role,
     SynonymTable,
+    _strip_scaffolding,
     detect_polarity,
-    intersect_count,
     is_normalish,
     lexical_extract,
     normalize_phrase,
-    unmatched,
 )
 
 PHRASES = [
@@ -28,6 +28,27 @@ PHRASES = [
     "atelectasis",
     "rib fracture",
     "edema",
+]
+
+# synonym and negation variants of PHRASES, which match some of them
+VARIANTS = [
+    "an enlarged heart",
+    "enlarged heart",
+    "pneumothorax is absent",
+    "pneumothorax absent",
+    "without pleural effusion",
+    "lung tissue collapse",
+    "the effusion",
+    "Pleural Effusion.",
+]
+
+# one surface form for each scaffold prefix pattern
+SCAFFOLDS = [
+    "first", "In conclusion", "based on the given images", "upon reviewing the film",
+    "turning to the lungs", "regarding the heart", "the images show",
+    "we can observe that", "observations revealed", "there are",
+    "checking for", "given these findings", "the findings suggest",
+    "confirming the diagnosis of", "consistent with",
 ]
 
 
@@ -168,6 +189,13 @@ class TestMatcher:
         b = Observation.from_text("pneumothorax is absent")
         assert matcher.matches(a, b)
 
+    def test_polarity_blocks_equal_forms(self, matcher):
+        a = Observation("effusion", "effusion", Polarity.PRESENT)
+        b = Observation("effusion", "effusion", Polarity.ABSENT_OR_NORMAL)
+        assert not matcher.matches(a, b)
+        report = ObservationSet((b,), Role.REPORT)
+        assert matcher.partition(ObservationSet((a,), Role.MODEL), report) == ((), (a,))
+
     @given(st.sampled_from(PHRASES))
     def test_reflexive(self, phrase):
         m = LexicalMatcher()
@@ -181,7 +209,30 @@ class TestMatcher:
         assert m.matches(a, b) == m.matches(b, a)
 
 
+def _pairwise_partition(a, b, matcher):
+    """Reference: ask `matches` for every pair."""
+    matched = [x for x in a.items if any(matcher.matches(x, y) for y in b.items)]
+    unmatched = [x for x in a.items if not any(matcher.matches(x, y) for y in b.items)]
+    return tuple(matched), tuple(unmatched)
+
+
+def _strip_scaffolding_loop(clause):
+    """Reference: repeat passes over the scaffold patterns until one pass
+    changes nothing."""
+    changed = True
+    while changed:
+        changed = False
+        for rx in _SCAFFOLD_RES:
+            new = rx.sub("", clause, count=1)
+            if new != clause:
+                clause = new.lstrip(" ,")
+                changed = True
+    return clause
+
+
 class TestIntersect:
+    """Partitions of the left operand against the right one."""
+
     @given(
         st.lists(st.sampled_from(PHRASES), max_size=6),
         st.lists(st.sampled_from(PHRASES), max_size=6),
@@ -190,13 +241,83 @@ class TestIntersect:
         m = LexicalMatcher()
         a = ObservationSet.from_phrases(left, Role.MODEL)
         b = ObservationSet.from_phrases(right, Role.REPORT)
-        n = intersect_count(a, b, m)
-        assert 0 <= n <= len(a)
-        assert n + len(unmatched(a, b, m)) == len(a)
+        matched, unmatched = m.partition(a, b)
+        assert 0 <= len(matched) <= len(a)
+        assert len(matched) + len(unmatched) == len(a)
 
     def test_left_operand_counts_once(self, plain_matcher):
         a = ObservationSet.from_phrases(["effusion"], Role.MODEL)
         b = ObservationSet.from_phrases(
             ["effusion", "the effusion"], Role.REPORT
         )
-        assert intersect_count(a, b, plain_matcher) == 1
+        matched, unmatched = plain_matcher.partition(a, b)
+        assert len(matched) == 1 and unmatched == ()
+
+    @pytest.mark.parametrize("synonyms", [None, SynonymTable.empty()])
+    @given(
+        st.lists(st.sampled_from(PHRASES + VARIANTS), max_size=8),
+        st.lists(st.sampled_from(PHRASES + VARIANTS), max_size=8),
+    )
+    def test_equals_pairwise_matches(self, synonyms, left, right):
+        m = LexicalMatcher(synonyms)
+        a = ObservationSet.from_phrases(left, Role.MODEL)
+        b = ObservationSet.from_phrases(right, Role.REPORT)
+        assert m.partition(a, b) == _pairwise_partition(a, b, m)
+
+
+class TestScaffolding:
+    def test_pre_check_covers_every_pattern(self):
+        for rx in _SCAFFOLD_RES:
+            assert any(rx.match(s) for s in SCAFFOLDS), rx.pattern
+        for s in SCAFFOLDS:
+            clause = f"{s} edema"
+            assert _strip_scaffolding(clause) == _strip_scaffolding_loop(clause) != clause
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(SCAFFOLDS),
+                st.sampled_from(["", " ", ", ", " ,  ", "\t"]),
+                st.sampled_from(["lower", "upper", "title", "keep"]),
+            ),
+            max_size=4,
+        ),
+        st.sampled_from(PHRASES + VARIANTS + ["", "there", "first-line tube"]),
+        st.sampled_from(["", " ", "  "]),
+    )
+    def test_equals_loop(self, prefixes, finding, lead):
+        cased = {"lower": str.lower, "upper": str.upper, "title": str.title}
+        clause = lead + "".join(
+            cased.get(case, str)(word) + sep + " " for word, sep, case in prefixes
+        ) + finding
+        assert _strip_scaffolding(clause) == _strip_scaffolding_loop(clause)
+
+
+class TestReferenceMemo:
+    REPORT = "There is mild cardiomegaly. No pneumothorax, clear lungs."
+
+    @pytest.mark.parametrize("role", [Role.REPORT, Role.GROUND_TRUTH])
+    def test_repeat_returns_same_set(self, role):
+        m = LexicalMatcher()
+        first = m.extract(self.REPORT, role)
+        assert first == lexical_extract(self.REPORT, role)
+        assert m.extract(self.REPORT, role) is first
+
+    def test_roles_kept_apart(self):
+        m = LexicalMatcher()
+        report = m.extract(self.REPORT, Role.REPORT)
+        gt = m.extract(self.REPORT, Role.GROUND_TRUTH)
+        assert report.role is Role.REPORT and gt.role is Role.GROUND_TRUTH
+
+    def test_model_texts_not_memoised(self):
+        m = LexicalMatcher()
+        first = m.extract(self.REPORT, Role.MODEL)
+        again = m.extract(self.REPORT, Role.MODEL)
+        assert again == first and again is not first
+
+    @given(st.lists(st.sampled_from(PHRASES + VARIANTS), min_size=1, max_size=6))
+    def test_memoised_equals_fresh(self, phrases):
+        m = LexicalMatcher()
+        text = ". ".join(phrases) + "."
+        for _ in range(2):
+            assert m.extract(text, Role.REPORT) == lexical_extract(text, Role.REPORT)

@@ -1,9 +1,13 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from radreason.core import Option, TaskType, VqaSample
-from radreason.observations import ObservationSet, Role
+from radreason.llm import CompletionClient
+from radreason.observations import LlmMatcher, ObservationSet, Role
 from radreason.scoring import (
     NotScorableError,
     RatioResult,
@@ -125,6 +129,63 @@ class TestScoreSample:
     def test_empty_output_rejected(self, matcher):
         with pytest.raises(ValueError):
             score_sample(make_scorable(), "", matcher)
+
+
+PHRASES = [
+    "effusion",
+    "no effusion",
+    "cardiomegaly",
+    "no pneumothorax",
+    "pneumothorax",
+    "clear lungs",
+    "edema",
+    "atelectasis",
+]
+
+
+class RandomVerdicts:
+    """Backend that answers each request with a seeded random yes or no and
+    counts the requests it was sent."""
+
+    name = "random"
+
+    def __init__(self, seed: int):
+        self.rng = random.Random(seed)
+        self.asked: Counter = Counter()
+
+    def complete(self, request) -> str:
+        self.asked[request.prompt] += 1
+        return self.rng.choice(["yes", "no"])
+
+
+class TestLlmMatcher:
+    @given(
+        st.lists(st.sampled_from(PHRASES), max_size=6),
+        st.lists(st.sampled_from(PHRASES), max_size=6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_factuality_asks_each_pair_once_and_stays_bounded(self, model, report, seed):
+        backend = RandomVerdicts(seed)
+        m = LlmMatcher(CompletionClient(backend))
+        a, b = obs(model), obs(report, Role.REPORT)
+        rf = factuality(a, b, m)
+        assert all(n == 1 for n in backend.asked.values())
+        assert len(backend.asked) <= len(a) * len(b)
+        assert 0.0 <= rf.value <= 1.0
+        assert rf.matched + rf.leniency_credits <= rf.denominator == len(a)
+
+    @given(
+        st.lists(st.sampled_from(PHRASES), max_size=6),
+        st.lists(st.sampled_from(PHRASES), max_size=6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_partition_splits_left_operand(self, left, right, seed):
+        m = LlmMatcher(CompletionClient(RandomVerdicts(seed)))
+        a, b = obs(left), obs(right, Role.REPORT)
+        matched, unmatched = m.partition(a, b)
+        assert len(matched) + len(unmatched) == len(a)
+        assert set(matched).isdisjoint(unmatched)
+        assert [x for x in a.items if x in matched] == list(matched)
 
 
 class TestAggregate:
