@@ -170,7 +170,6 @@ class TestLlmMatcher:
         a, b = obs(model), obs(report, Role.REPORT)
         rf = factuality(a, b, m)
         assert all(n == 1 for n in backend.asked.values())
-        assert len(backend.asked) <= len(a) * len(b)
         assert 0.0 <= rf.value <= 1.0
         assert rf.matched + rf.leniency_credits <= rf.denominator == len(a)
 
