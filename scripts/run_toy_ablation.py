@@ -14,11 +14,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from radreason.training import (
     PRESETS,
+    SftConfig,
     make_toy_corpus,
     make_toy_policy,
     run_preset,
     toy_grpo_config,
-    toy_sft_config,
 )
 
 
@@ -38,7 +38,7 @@ def main() -> None:
                 name,
                 corpus,
                 policy,
-                toy_sft_config(seed=seed),
+                SftConfig(),
                 toy_grpo_config(seed=seed, steps=args.steps),
             )
             grpo_steps = [s for s in stats if s.stage == "grpo"]

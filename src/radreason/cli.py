@@ -12,6 +12,7 @@ from .harness import (
     EXIT_FATAL,
     EXIT_OK,
     EXIT_SAMPLE_ERRORS,
+    cmd_compile,
     cmd_eval,
     cmd_mine,
     cmd_score,
@@ -19,10 +20,10 @@ from .harness import (
     write_manifest,
 )
 from .llm import CompletionError, make_client
-from .mining import MinedChain, compile_benchmark, filter_by_factuality, balance
+from .mining import MinedChain
 from .observations import LexicalMatcher, LlmMatcher, SynonymTable
 from .policy import GrpoConfig
-from .training import PRESETS, SftConfig, toy_grpo_config, toy_sft_config
+from .training import PRESETS, SftConfig, toy_grpo_config
 
 
 def _load_config(path: str | None) -> dict:
@@ -111,38 +112,37 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FATAL
 
     try:
-        if args.command == "mine":
+        if args.command in ("mine", "compile-bench"):
             corpus = load_corpus(args.corpus)
-            client = _make_llm_client(args, config)
-            matcher = _make_matcher(args, config)
-            bundle, n_rejected = cmd_mine(
-                corpus,
-                client,
-                matcher,
-                out_dir=args.out,
-                seed=args.seed,
-                threshold=args.threshold,
-                workers=args.workers,
-            )
+            matcher = None
+            if args.command == "mine":
+                client = _make_llm_client(args, config)
+                matcher = _make_matcher(args, config)
+                bundle, n_rejected = cmd_mine(
+                    corpus,
+                    client,
+                    matcher,
+                    out_dir=args.out,
+                    seed=args.seed,
+                    threshold=args.threshold,
+                    workers=args.workers,
+                )
+            else:
+                chains = [
+                    MinedChain.from_record(json.loads(line))
+                    for line in Path(args.chains).read_text(encoding="utf-8").splitlines()
+                    if line.strip()
+                ]
+                bundle, n_rejected = cmd_compile(
+                    corpus,
+                    chains,
+                    out_dir=args.out,
+                    seed=args.seed,
+                    threshold=args.threshold,
+                )
             write_manifest(Path(args.out), config, args.seed, matcher)
             print(json.dumps(bundle.manifest["counts"], sort_keys=True))
             return EXIT_SAMPLE_ERRORS if n_rejected else EXIT_OK
-
-        if args.command == "compile-bench":
-            corpus = load_corpus(args.corpus)
-            chains = [
-                MinedChain.from_record(json.loads(line))
-                for line in Path(args.chains).read_text(encoding="utf-8").splitlines()
-                if line.strip()
-            ]
-            kept, rejected = filter_by_factuality(chains, threshold=args.threshold)
-            balanced = balance(corpus, seed=args.seed)
-            kept = [c for c in kept if any(s.id == c.sample_id for s in balanced.samples)]
-            bundle = compile_benchmark(
-                balanced, kept, args.out, seed=args.seed, threshold=args.threshold
-            )
-            print(json.dumps(bundle.manifest["counts"], sort_keys=True))
-            return EXIT_SAMPLE_ERRORS if rejected else EXIT_OK
 
         if args.command == "score":
             corpus = load_corpus(args.corpus)
@@ -174,13 +174,11 @@ def main(argv: list[str] | None = None) -> int:
                 grpo_kwargs["steps"] = args.steps
             if args.lr is not None:
                 grpo_kwargs["learning_rate"] = args.lr
-            sft_kwargs = {**vars(toy_sft_config()), **config.get("sft", {})}
-            sft_kwargs["seed"] = args.seed
             checkpoint = cmd_train_toy(
                 corpus,
                 args.preset,
                 out_dir=args.out,
-                sft_cfg=SftConfig(**sft_kwargs),
+                sft_cfg=SftConfig(**config.get("sft", {})),
                 grpo_cfg=GrpoConfig(**grpo_kwargs),
                 seed=args.seed,
             )

@@ -10,16 +10,19 @@ import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import __version__
-from .core import Corpus, LabelFn, label_by_answer
+from .core import Corpus
 from .llm import CompletionClient, load_template
 from .mining import (
     BenchmarkBundle,
+    MinedChain,
+    Rejection,
     balance,
     compile_benchmark,
     filter_by_factuality,
@@ -27,16 +30,9 @@ from .mining import (
 )
 from .observations import LexicalMatcher
 from .policy import GrpoConfig
-from .rewards import RewardConfig, format_reward, outcome_reward
+from .rewards import entity_f1, format_reward, outcome_reward
 from .scoring import NotScorableError, score_sample
-from .training import (
-    SftConfig,
-    make_toy_policy,
-    run_preset,
-    save_checkpoint,
-    toy_grpo_config,
-    toy_sft_config,
-)
+from .training import SftConfig, make_toy_policy, run_preset, save_checkpoint
 
 EXIT_OK = 0
 EXIT_FATAL = 1
@@ -120,7 +116,6 @@ def cmd_score(
     corpus: Corpus,
     matcher,
     out_path: str | Path,
-    open_scorer: Optional[Callable[[str, str], float]] = None,
     workers: int = 1,
 ) -> tuple[int, list[dict]]:
     """Score model outputs (JSONL: {"id", "output"}) against the corpus.
@@ -131,7 +126,7 @@ def cmd_score(
     """
     rows, bad_lines = _read_outputs(outputs_path)
     by_id = {s.id: s for s in corpus.samples}
-    cfg = RewardConfig(matcher=matcher, open_scorer=open_scorer)
+    open_scorer = partial(entity_f1, matcher=matcher)
 
     def _one(row):
         lineno, sample_id, output = row
@@ -147,7 +142,7 @@ def cmd_score(
             "task": sample.task.value,
             **scores.as_record(),
             "format": format_reward(output, sample.partition),
-            "outcome": outcome_reward(output, sample, cfg.resolved_open_scorer()),
+            "outcome": outcome_reward(output, sample, open_scorer),
         }
         return record, None
 
@@ -270,16 +265,29 @@ def cmd_mine(
     out_dir: str | Path,
     seed: int = 0,
     threshold: float = 1.0,
-    label_of: LabelFn = label_by_answer,
     workers: int = 1,
 ) -> tuple[BenchmarkBundle, int]:
-    """Full pipeline: mine -> factuality filter -> balance -> compile."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Full pipeline: mine, then the compile tail of `cmd_compile`."""
     chains, rejections = mine_corpus(corpus, client, matcher, workers=workers)
+    return cmd_compile(corpus, chains, out_dir, seed, threshold, rejections)
+
+
+def cmd_compile(
+    corpus: Corpus,
+    chains: Sequence[MinedChain],
+    out_dir: str | Path,
+    seed: int = 0,
+    threshold: float = 1.0,
+    rejections: Sequence[Rejection] = (),
+) -> tuple[BenchmarkBundle, int]:
+    """Factuality filter -> balance -> compile. Writes the benchmark files,
+    the kept chains (`chains.jsonl`) and every rejection, the given ones and
+    the filter's (`rejections.jsonl`); returns the bundle and the number of
+    rejections."""
+    out_dir = Path(out_dir)
     kept, filtered = filter_by_factuality(chains, threshold=threshold)
-    rejections = sorted(rejections + filtered, key=lambda r: (r.sample_id, r.stage))
-    balanced = balance(corpus, label_of=label_of, seed=seed)
+    rejections = sorted([*rejections, *filtered], key=lambda r: (r.sample_id, r.stage))
+    balanced = balance(corpus, seed=seed)
     kept_ids = {s.id for s in balanced.samples}
     kept = [c for c in kept if c.sample_id in kept_ids]
     bundle = compile_benchmark(
@@ -301,18 +309,15 @@ def cmd_train_toy(
     corpus: Corpus,
     preset: str,
     out_dir: str | Path,
-    sft_cfg: Optional[SftConfig] = None,
-    grpo_cfg: Optional[GrpoConfig] = None,
-    reward_cfg: Optional[RewardConfig] = None,
+    sft_cfg: SftConfig,
+    grpo_cfg: GrpoConfig,
     seed: int = 0,
 ) -> Path:
     """Run an ablation preset and write checkpoint + per-step stats."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sft_cfg = sft_cfg or toy_sft_config(seed=seed)
-    grpo_cfg = grpo_cfg or toy_grpo_config(seed=seed)
     policy = make_toy_policy(corpus, n_contexts=256)
-    trained, stats = run_preset(preset, corpus, policy, sft_cfg, grpo_cfg, reward_cfg)
+    trained, stats = run_preset(preset, corpus, policy, sft_cfg, grpo_cfg)
     cfg_dict = {
         "preset": preset,
         "sft": vars(sft_cfg),

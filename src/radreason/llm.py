@@ -257,9 +257,9 @@ def make_client(
         if mock_fixture is None:
             raise CompletionError("mock backend requires a fixture file")
         backend = MockBackend.from_file(mock_fixture)
-    elif backend_name == "cache-only" or backend_name == "cache_only":
+    elif backend_name == "cache-only":
         if cache is None:
-            raise CompletionError("cache_only backend requires a cache directory")
+            raise CompletionError("cache-only backend requires a cache directory")
         backend = CacheOnlyBackend()
     elif backend_name == "remote":
         backend = RemoteBackend(base_url=base_url)

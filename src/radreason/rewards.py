@@ -7,24 +7,13 @@ an additional process-factuality component. Components are summed unweighted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 from .core import CLOSE_ENDED_TASKS, PartitionTag, VqaSample
 from .observations import LexicalMatcher, Role
 from .scoring import factuality
-from .tags import TaggedOutput, parse_tags
-
-__all__ = [
-    "RewardBreakdown",
-    "RewardConfig",
-    "parse_tags",
-    "TaggedOutput",
-    "format_reward",
-    "outcome_reward",
-    "process_reward",
-    "total_reward",
-    "entity_f1",
-]
+from .tags import parse_tags
 
 OpenScorer = Callable[[str, str], float]
 
@@ -134,15 +123,7 @@ def process_reward(output: str, sample: VqaSample, matcher) -> float:
 @dataclass
 class RewardConfig:
     matcher: object = field(default_factory=LexicalMatcher)
-    open_scorer: Optional[OpenScorer] = None
     use_process_reward: bool = True
-    partition_override: Optional[PartitionTag] = None
-
-    def resolved_open_scorer(self) -> OpenScorer:
-        if self.open_scorer is not None:
-            return self.open_scorer
-        matcher = self.matcher
-        return lambda pred, ref: entity_f1(pred, ref, matcher)
 
 
 def total_reward(
@@ -154,15 +135,12 @@ def total_reward(
     """Unweighted component sum; process component only on reasoning-augmented
     samples (and only when enabled by config)."""
     config = config or RewardConfig()
-    partition = (
-        config.partition_override
-        if config.partition_override is not None
-        else (partition if partition is not None else sample.partition)
-    )
+    if partition is None:
+        partition = sample.partition
     if partition is None:
         raise ValueError(f"sample {sample.id}: partition undefined (mixed sample)")
     fmt = float(format_reward(output, partition))
-    outcome = outcome_reward(output, sample, config.resolved_open_scorer())
+    outcome = outcome_reward(output, sample, partial(entity_f1, matcher=config.matcher))
     process = 0.0
     if partition is PartitionTag.REASONING_AUGMENTED and config.use_process_reward:
         process = process_reward(output, sample, config.matcher)

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
-from .core import TaskType, VqaSample
+from .core import VqaSample
 from .observations import ObservationSet, Role, is_normalish
 from .tags import parse_tags
 
@@ -130,43 +129,3 @@ def score_sample(sample: VqaSample, model_output: str, matcher) -> ReasoningScor
         completeness(obs_gt, obs_model, matcher),
         effectiveness(obs_model, obs_gt, matcher),
     )
-
-
-@dataclass(frozen=True)
-class ScoreRecord:
-    sample_id: str
-    task: TaskType
-    scores: ReasoningScores
-
-
-@dataclass(frozen=True)
-class ScoreAggregate:
-    per_task: dict[str, dict[str, float]]  # task -> metric -> mean
-    overall: dict[str, float]
-    counts: dict[str, int]  # task -> n, plus "overall"
-
-
-_METRICS = ("r_f", "r_c", "r_e", "radrscore")
-
-
-def _means(scores: Iterable[ReasoningScores]) -> dict[str, float]:
-    scores = list(scores)
-    return {
-        m: sum(getattr(s, m) for s in scores) / len(scores) for m in _METRICS
-    }
-
-
-def aggregate(records: list[ScoreRecord]) -> ScoreAggregate:
-    """Per-task and overall arithmetic means. Degenerate samples count at
-    value 0 — they are failed reasoning, not missing data."""
-    if not records:
-        raise ValueError("cannot aggregate an empty score list")
-    per_task: dict[str, dict[str, float]] = {}
-    counts: dict[str, int] = {}
-    for task in sorted({r.task for r in records}, key=lambda t: t.value):
-        subset = [r.scores for r in records if r.task is task]
-        per_task[task.value] = _means(subset)
-        counts[task.value] = len(subset)
-    overall = _means(r.scores for r in records)
-    counts["overall"] = len(records)
-    return ScoreAggregate(per_task=per_task, overall=overall, counts=counts)

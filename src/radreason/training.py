@@ -91,11 +91,6 @@ def make_sft_batches(corpus: Corpus) -> list[SftBatch]:
 class SftConfig:
     learning_rate: float = 0.5  # tabular-regime rescale of the nominal 2e-6
     steps: int = 25
-    seed: int = 0
-
-
-def toy_sft_config(seed: int = 0, steps: int = 25) -> SftConfig:
-    return SftConfig(learning_rate=0.5, steps=steps, seed=seed)
 
 
 def toy_grpo_config(seed: int = 0, steps: int = 200) -> "GrpoConfig":
@@ -181,12 +176,14 @@ def _probe_factuality(
     return float(np.mean(values))
 
 
+PROBE_EVERY = 25  # GRPO steps between factuality probes (plus first and last)
+
+
 def train_grpo(
     policy: ToyPolicy,
     corpus: Corpus,
     reward_cfg: RewardConfig,
     cfg: GrpoConfig,
-    probe_every: int = 25,
 ) -> tuple[ToyPolicy, list[StepStats]]:
     """Full-batch updates: every step samples one group per prompt from the
     old policy, then applies one averaged optimizer step. The old policy is
@@ -233,7 +230,7 @@ def train_grpo(
         policy_old = policy.snapshot()
 
         probe = None
-        if step == 0 or step == cfg.steps - 1 or (step + 1) % probe_every == 0:
+        if step == 0 or step == cfg.steps - 1 or (step + 1) % PROBE_EVERY == 0:
             probe = _probe_factuality(
                 policy_old,
                 probe_samples,
@@ -337,24 +334,6 @@ def run_preset(
             policy, stats = train_grpo(policy, data, stage_reward_cfg, grpo_cfg)
         all_stats.extend(stats)
     return policy, all_stats
-
-
-def train(
-    policy: ToyPolicy,
-    corpus: Corpus,
-    stage: str,
-    reward_cfg: Optional[RewardConfig] = None,
-    sft_cfg: Optional[SftConfig] = None,
-    grpo_cfg: Optional[GrpoConfig] = None,
-) -> tuple[ToyPolicy, list[StepStats]]:
-    """Run a single training stage ('sft' or 'grpo') on the given corpus."""
-    if stage == "sft":
-        return train_sft(policy, corpus, sft_cfg or SftConfig())
-    if stage == "grpo":
-        return train_grpo(
-            policy, corpus, reward_cfg or RewardConfig(), grpo_cfg or GrpoConfig()
-        )
-    raise ValueError(f"unknown stage {stage!r}")
 
 
 # ---------------------------------------------------------------------------

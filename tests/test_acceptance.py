@@ -39,11 +39,11 @@ from radreason.policy import (
 from radreason.rewards import RewardConfig, total_reward
 from radreason.scoring import RatioResult, combine, completeness, effectiveness, factuality
 from radreason.training import (
+    SftConfig,
     make_toy_corpus,
     make_toy_policy,
     run_preset,
     toy_grpo_config,
-    toy_sft_config,
     train_grpo,
 )
 
@@ -364,7 +364,7 @@ def test_criterion_09_process_reward_ablation_direction():
                 preset,
                 corpus,
                 policy,
-                toy_sft_config(seed=seed),
+                SftConfig(),
                 toy_grpo_config(seed=seed),
             )
             probes = [

@@ -115,3 +115,42 @@ def test_score_then_eval_round_trip(tmp_path, data_dir, mock_config, capsys):
     capsys.readouterr()
     report = json.loads(report_path.read_text(encoding="utf-8"))
     assert report["rows"]["overall_samples"]["radrscore"]["mean"] == 1.0
+
+
+BUNDLE_FILES = (
+    "train_R.jsonl", "train_A.jsonl", "test_R.jsonl", "test_A.jsonl",
+    "manifest.json", "chains.jsonl",
+)
+
+
+def test_compile_bench_reproduces_mine(tmp_path, data_dir, mock_config, capsys):
+    corpus = str(data_dir / "fixture_corpus.jsonl")
+    mined, compiled = tmp_path / "mined", tmp_path / "compiled"
+    assert main(["--config", mock_config, "mine", corpus, "--out", str(mined)]) == 2
+    chains = str(mined / "chains.jsonl")
+    assert main(["compile-bench", corpus, chains, "--out", str(compiled)]) == 0
+    for name in BUNDLE_FILES:
+        assert (compiled / name).read_bytes() == (mined / name).read_bytes(), name
+    assert (compiled / "rejections.jsonl").read_text(encoding="utf-8") == ""
+    assert (compiled / "run_manifest.json").exists()
+    mined_counts, compiled_counts = capsys.readouterr().out.splitlines()
+    assert compiled_counts == mined_counts
+
+
+def test_compile_bench_reports_filtered_chains(tmp_path, data_dir, mock_config):
+    corpus = str(data_dir / "fixture_corpus.jsonl")
+    mined = tmp_path / "mined"
+    main(["--config", mock_config, "mine", corpus, "--out", str(mined)])
+    records = [json.loads(line) for line in (mined / "chains.jsonl").open()]
+    records[0]["r_f"] = 0.5
+    chains = tmp_path / "chains.jsonl"
+    chains.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    out = tmp_path / "compiled"
+    assert main(["compile-bench", corpus, str(chains), "--out", str(out)]) == 2
+    rejections = [json.loads(line) for line in (out / "rejections.jsonl").open()]
+    assert rejections == [
+        {"sample_id": records[0]["sample_id"], "stage": "factuality_filter",
+         "reason": "r_f=0.5000"}
+    ]
+    kept = [json.loads(line)["sample_id"] for line in (out / "chains.jsonl").open()]
+    assert kept == [r["sample_id"] for r in records[1:]]

@@ -146,6 +146,8 @@ class TestMakeClient:
             make_client("remote", base_url="https://example.invalid")
 
     def test_dashed_and_underscored_cache_only(self, tmp_path):
-        for name in ("cache-only", "cache_only"):
-            client = make_client(name, cache_dir=tmp_path)
-            assert isinstance(client.backend, CacheOnlyBackend)
+        client = make_client("cache-only", cache_dir=tmp_path)
+        assert isinstance(client.backend, CacheOnlyBackend)
+        # only the spelling the CLI admits names the backend
+        with pytest.raises(CompletionError, match="unknown backend"):
+            make_client("cache_only", cache_dir=tmp_path)

@@ -152,10 +152,3 @@ class TestTotalReward:
         mixed = make_sample(report="Effusion.")
         with pytest.raises(ValueError, match="partition"):
             total_reward("<answer>A</answer>", mixed)
-
-    def test_partition_override_wins(self, matcher):
-        s = reasoning_sample()
-        cfg = RewardConfig(matcher=matcher, partition_override=A)
-        b = total_reward("<answer>A</answer>", s, R, cfg)
-        # treated as answer-only despite the R hint: no think needed, no process
-        assert (b.format, b.process) == (1.0, 0.0)

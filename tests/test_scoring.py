@@ -11,8 +11,6 @@ from radreason.observations import LlmMatcher, ObservationSet, Role
 from radreason.scoring import (
     NotScorableError,
     RatioResult,
-    ScoreRecord,
-    aggregate,
     combine,
     completeness,
     effectiveness,
@@ -186,28 +184,3 @@ class TestLlmMatcher:
         assert set(matched).isdisjoint(unmatched)
         assert [x for x in a.items if x in matched] == list(matched)
 
-
-class TestAggregate:
-    def _record(self, sid, task, value):
-        r = RatioResult(value, 0, 1)
-        return ScoreRecord(sid, task, combine(r, r, r))
-
-    def test_per_task_and_overall_means(self):
-        records = [
-            self._record("a", TaskType.BINARY_DIAGNOSIS, 1.0),
-            self._record("b", TaskType.BINARY_DIAGNOSIS, 0.0),
-            self._record("c", TaskType.ANOMALY_DETECTION, 0.5),
-        ]
-        agg = aggregate(records)
-        assert agg.per_task["binary_diagnosis"]["radrscore"] == 0.5
-        assert agg.per_task["anomaly_detection"]["radrscore"] == 0.5
-        assert agg.overall["radrscore"] == 0.5
-        assert agg.counts == {
-            "anomaly_detection": 1,
-            "binary_diagnosis": 2,
-            "overall": 3,
-        }
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate([])

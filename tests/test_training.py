@@ -19,9 +19,7 @@ from radreason.training import (
     save_checkpoint,
     target_tokens,
     toy_grpo_config,
-    toy_sft_config,
     toy_tokens,
-    train,
     train_grpo,
     train_sft,
 )
@@ -202,17 +200,12 @@ class TestPresets:
         assert [s.stage for s in stats] == ["sft", "sft", "grpo", "grpo"]
         assert not np.array_equal(trained.theta, policy.theta)
 
-    def test_train_entrypoint_validates_stage(self, corpus):
-        policy = make_toy_policy(corpus)
-        with pytest.raises(ValueError, match="unknown stage"):
-            train(policy, corpus, "rlhf")
-
 
 class TestConfigs:
     def test_toy_configs_pin_tabular_hyperparams(self):
-        sft = toy_sft_config(seed=3)
+        sft = SftConfig()
         grpo = toy_grpo_config(seed=3)
-        assert (sft.learning_rate, sft.steps, sft.seed) == (0.5, 25, 3)
+        assert (sft.learning_rate, sft.steps) == (0.5, 25)
         assert (grpo.learning_rate, grpo.entropy_coef, grpo.seed) == (3.0, 0.01, 3)
         assert grpo.group_size == 8 and grpo.clip_eps == 0.2
 
