@@ -385,14 +385,15 @@ def kl_penalty(
 
 
 def grpo_objective(
-    policy: ToyPolicy,
+    policy: ToyPolicy | PolicySnapshot,
     batch: GroupBatch,
     cfg: GrpoConfig,
 ) -> tuple[float, np.ndarray]:
     """Clipped-surrogate group objective with KL penalty and entropy bonus;
     returns the value and its exact gradient in theta. It reads one snapshot
-    of `policy` taken at the call, and its gradient is non-zero only in the
-    rows the batch's outputs visit."""
+    of `policy` (a PolicySnapshot is its own), so both are taken at the
+    theta of that snapshot; the gradient is non-zero only in the rows the
+    batch's outputs visit."""
     if batch.rewards is None or batch.advantages is None:
         raise ValueError("batch must have rewards and advantages filled")
     if len(batch.outputs) != len(batch.advantages):
@@ -402,7 +403,7 @@ def grpo_objective(
     G = len(batch.outputs)
     eps = cfg.clip_eps
     value = 0.0
-    grad = np.zeros_like(policy.theta)
+    grad = np.zeros_like(snap.log_probs)
     visited: set[int] = set()
     for i, path in enumerate(paths):
         a = float(batch.advantages[i])

@@ -188,8 +188,9 @@ def train_grpo(
     """Full-batch updates: every step samples one group per prompt from the
     old policy, then applies one averaged optimizer step. The old policy is
     a snapshot taken after each update: it serves that step's KL estimate
-    and probe, then the next step's sampling. Fully deterministic given
-    (corpus, config, seed)."""
+    and probe, then the next step's sampling and objective (theta does not
+    change within a step, so it is also the live policy there). Fully
+    deterministic given (corpus, config, seed)."""
     if len(corpus) == 0:
         raise PresetError("grpo stage: empty corpus")
     samples = sorted(corpus.samples, key=lambda s: s.id)
@@ -218,7 +219,7 @@ def train_grpo(
             )
             batch.rewards = np.array([b.total for b in breakdowns])
             batch.advantages = advantages(batch.rewards)
-            _, g = grpo_objective(policy, batch, cfg)
+            _, g = grpo_objective(policy_old, batch, cfg)
             grad += g
             all_breakdowns.extend(breakdowns)
             all_rewards.append(batch.rewards)

@@ -164,10 +164,11 @@ class TestSnapshot:
         batch.advantages = advantages(batch.rewards)
         cfg = GrpoConfig(group_size=2, kl_coef=0.01, entropy_coef=0.01)
         snap = policy.snapshot()
+        objective_before = grpo_objective(policy, batch, cfg)
         before = (
             policy.sample("p", np.random.default_rng(1)),
             policy.log_prob("p", ("a", "<eos>")),
-            grpo_objective(policy, batch, cfg)[0],
+            objective_before[0],
         )
         assert before[0] == ("a",) * 4
 
@@ -188,6 +189,9 @@ class TestSnapshot:
         # a snapshot keeps the distribution it was taken at
         assert snap.sample("p", np.random.default_rng(1)) == before[0]
         assert snap.log_prob("p", ("a", "<eos>")) == before[1]
+        value, grad = grpo_objective(snap, batch, cfg)
+        assert value == objective_before[0]
+        assert np.array_equal(grad, objective_before[1])
 
     def test_log_prob_with_grad_matches_fd(self):
         policy = random_policy(np.random.default_rng(10))
