@@ -85,11 +85,18 @@ def write_manifest(out_dir: Path, config: dict, seed: int, matcher=None) -> None
 def _read_outputs(outputs_path: str | Path) -> tuple[list[tuple[int, str, str]], list[dict]]:
     """Stream an outputs file (JSONL: {"id", "output"}) into (line, id,
     output) rows, and an error (id or None, line, reason) for each non-blank
-    line that is not a JSON object carrying both fields."""
+    line that is not UTF-8 or not a JSON object carrying both fields."""
     rows: list[tuple[int, str, str]] = []
     errors: list[dict] = []
-    with Path(outputs_path).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with Path(outputs_path).open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            # decoded line by line, so one bad byte costs only its own line
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                reason = f"invalid UTF-8 at byte {e.start}: {e.reason}"
+                errors.append({"id": None, "line": lineno, "error": reason})
+                continue
             if not line.strip():
                 continue
             try:

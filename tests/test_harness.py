@@ -144,12 +144,25 @@ class TestCmdScore:
 
         bundle, _ = mined_bundle
         outputs_path = tmp_path / "outputs.jsonl"
-        outputs_path.write_text('{"output": "x"}\n{"id": "a", "out\n', encoding="utf-8")
+        outputs_path.write_bytes(b'{"output": "x"}\n{"id": "a", "out\n{"id": "\xff"}\n')
         rc = main(["score", str(bundle.record_file("train", "R")), str(outputs_path),
                    "--out", str(tmp_path / "s.jsonl")])
         assert rc == EXIT_SAMPLE_ERRORS
         lines = (tmp_path / "s.jsonl").read_text().splitlines()
-        assert [json.loads(line)["error_record"]["line"] for line in lines] == [1, 2]
+        assert [json.loads(line)["error_record"]["line"] for line in lines] == [1, 2, 3]
+
+    def test_non_utf8_line_located(self, mined_bundle, matcher, tmp_path):
+        bundle, _ = mined_bundle
+        corpus = load_corpus(bundle.record_file("train", "R"))
+        good = [json.dumps(rec).encode() for rec in self._outputs_for(corpus)]
+        bad = b'{"id": "x", "output": "\xff"}'
+        outputs_path = tmp_path / "outputs.jsonl"
+        outputs_path.write_bytes(b"\n".join(good[:1] + [bad] + good[1:]) + b"\n")
+        n, errors = cmd_score(outputs_path, corpus, matcher, tmp_path / "s.jsonl")
+        assert n == len(corpus)
+        assert errors == [
+            {"id": None, "line": 2, "error": "invalid UTF-8 at byte 23: invalid start byte"}
+        ]
 
     def test_worker_counts_agree(self, mined_bundle, matcher, tmp_path):
         bundle, _ = mined_bundle
