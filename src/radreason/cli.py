@@ -20,7 +20,7 @@ from .harness import (
     write_manifest,
 )
 from .llm import CompletionError, make_client
-from .mining import MinedChain
+from .mining import load_chains
 from .observations import LexicalMatcher, LlmMatcher, SynonymTable
 from .policy import GrpoConfig
 from .training import PRESETS, SftConfig, toy_grpo_config
@@ -128,14 +128,9 @@ def main(argv: list[str] | None = None) -> int:
                     workers=args.workers,
                 )
             else:
-                chains = [
-                    MinedChain.from_record(json.loads(line))
-                    for line in Path(args.chains).read_text(encoding="utf-8").splitlines()
-                    if line.strip()
-                ]
                 bundle, n_rejected = cmd_compile(
                     corpus,
-                    chains,
+                    load_chains(args.chains),
                     out_dir=args.out,
                     seed=args.seed,
                     threshold=args.threshold,
@@ -174,12 +169,17 @@ def main(argv: list[str] | None = None) -> int:
                 grpo_kwargs["steps"] = args.steps
             if args.lr is not None:
                 grpo_kwargs["learning_rate"] = args.lr
+            try:
+                sft_cfg = SftConfig(**config.get("sft", {}))
+                grpo_cfg = GrpoConfig(**grpo_kwargs)
+            except TypeError as e:  # a key the config section does not have
+                raise ValueError(f"config: {e}") from None
             checkpoint = cmd_train_toy(
                 corpus,
                 args.preset,
                 out_dir=args.out,
-                sft_cfg=SftConfig(**config.get("sft", {})),
-                grpo_cfg=GrpoConfig(**grpo_kwargs),
+                sft_cfg=sft_cfg,
+                grpo_cfg=grpo_cfg,
                 seed=args.seed,
             )
             print(f"checkpoint written to {checkpoint}")

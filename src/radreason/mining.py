@@ -96,6 +96,26 @@ class MinedChain:
         )
 
 
+def load_chains(path: str | Path) -> list[MinedChain]:
+    """Read a chains file (JSONL of `MinedChain.as_record` records, as
+    `chains.jsonl` of a mining run). A malformed line raises ValueError
+    located as `path:line: reason`."""
+    path = Path(path)
+    chains = []
+    with path.open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                chains.append(MinedChain.from_record(json.loads(line)))
+            except KeyError as e:
+                raise ValueError(f"{path}:{lineno}: missing field {e}") from None
+            except (AttributeError, TypeError, ValueError) as e:
+                raise ValueError(f"{path}:{lineno}: malformed chain: {e}") from None
+    return chains
+
+
 _LIST_ITEM_RE = re.compile(r"^\s*(?:\d+[.)]|[-*])\s*(.+)$")
 _INFERRED_FORMS = frozenset({"no disease", "normal"})
 

@@ -76,6 +76,23 @@ def test_train_toy_unknown_preset_is_fatal(tmp_path, data_dir, mock_config):
     assert rc == 1
 
 
+@pytest.mark.parametrize("section", ["sft", "grpo"])
+def test_train_toy_unknown_config_key_is_fatal(tmp_path, data_dir, section, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({section: {"momentum": 0.9}}), encoding="utf-8")
+    rc = main(
+        [
+            "--config", str(config),
+            "train-toy", str(data_dir / "fixture_corpus.jsonl"),
+            "--preset", "full",
+            "--out", str(tmp_path / "run"),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and "'momentum'" in err
+
+
 def test_score_then_eval_round_trip(tmp_path, data_dir, mock_config, capsys):
     bench = tmp_path / "bench"
     main(
@@ -154,3 +171,21 @@ def test_compile_bench_reports_filtered_chains(tmp_path, data_dir, mock_config):
     ]
     kept = [json.loads(line)["sample_id"] for line in (out / "chains.jsonl").open()]
     assert kept == [r["sample_id"] for r in records[1:]]
+
+
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        ('{"sample_id": "f001"}', "missing field 'steps'"),
+        ('{"sample_id": "f001", "steps": [], "narrative": "n", "r_f": "high"}',
+         "malformed chain: could not convert string to float: 'high'"),
+        ('{"sample_id": "f001", "steps', "malformed chain: Unterminated string"),
+    ],
+)
+def test_compile_bench_locates_malformed_chain(tmp_path, data_dir, capsys, line, error):
+    chains = tmp_path / "chains.jsonl"
+    chains.write_text("\n" + line + "\n", encoding="utf-8")
+    rc = main(["compile-bench", str(data_dir / "fixture_corpus.jsonl"), str(chains),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {chains}:2: {error}")
