@@ -157,8 +157,15 @@ class MockBackend:
         return self._responses[key]
 
 
+# statuses worth a retry besides 5xx: request timeout, rate limited
+_RETRY_STATUS = frozenset({408, 429})
+
+
 class RemoteBackend:
-    """Chat-completion style HTTPS endpoint with bounded exponential backoff."""
+    """Chat-completion style HTTPS endpoint with bounded exponential backoff.
+
+    Retries transport errors, 5xx, 408 and 429, with no wait after the last
+    attempt; any other error response fails at once."""
 
     name = "remote"
 
@@ -193,8 +200,10 @@ class RemoteBackend:
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
-        last_error: Exception | None = None
+        last_error: object = None
         for attempt in range(self.max_retries):
+            if attempt:
+                time.sleep(self.backoff_seconds * 2 ** (attempt - 1))
             try:
                 resp = requests.post(
                     f"{self.base_url}/chat/completions",
@@ -202,11 +211,18 @@ class RemoteBackend:
                     headers={"Authorization": f"Bearer {self._api_key}"},
                     timeout=self.timeout,
                 )
+            except requests.RequestException as e:  # transport failure
+                last_error = e
+                continue
+            if resp.status_code >= 500 or resp.status_code in _RETRY_STATUS:
+                last_error = f"HTTP {resp.status_code}"
+                continue
+            try:
                 resp.raise_for_status()
                 return resp.json()["choices"][0]["message"]["content"]
-            except Exception as e:  # noqa: BLE001 - retry any transport failure
-                last_error = e
-                time.sleep(self.backoff_seconds * (2**attempt))
+            except (requests.HTTPError, ValueError, LookupError, TypeError) as e:
+                # a 4xx or a malformed body: asking again cannot succeed
+                raise CompletionError(f"remote backend: {e}") from e
         raise CompletionError(f"remote backend: retries exhausted: {last_error}")
 
 

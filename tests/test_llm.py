@@ -1,7 +1,9 @@
 import threading
 
 import pytest
+import requests
 
+from radreason import llm
 from radreason.llm import (
     CacheMissError,
     CacheOnlyBackend,
@@ -9,6 +11,7 @@ from radreason.llm import (
     CompletionError,
     CompletionRequest,
     MockBackend,
+    RemoteBackend,
     ResponseCache,
     load_template,
     make_client,
@@ -151,3 +154,85 @@ class TestMakeClient:
         # only the spelling the CLI admits names the backend
         with pytest.raises(CompletionError, match="unknown backend"):
             make_client("cache_only", cache_dir=tmp_path)
+
+
+class FakeResponse:
+    def __init__(self, status_code, body=None):
+        self.status_code = status_code
+        self.body = body
+
+    def raise_for_status(self):
+        if self.status_code >= 400:
+            raise requests.HTTPError(f"{self.status_code} error")
+
+    def json(self):
+        return self.body
+
+
+OK = FakeResponse(200, {"choices": [{"message": {"content": "done"}}]})
+
+
+class TestRemoteBackend:
+    """Scripted `requests.post` replies; no network, no real waiting."""
+
+    def _run(self, monkeypatch, replies, max_retries=5):
+        posts, sleeps = [], []
+
+        def post(*args, **kwargs):
+            reply = replies[len(posts)]
+            posts.append(kwargs)
+            if isinstance(reply, Exception):
+                raise reply
+            return reply
+
+        monkeypatch.setenv("RADREASON_API_KEY", "test-key")
+        monkeypatch.setattr(requests, "post", post)
+        monkeypatch.setattr(llm.time, "sleep", sleeps.append)
+        backend = RemoteBackend(
+            "https://example.invalid", max_retries=max_retries, backoff_seconds=0.5
+        )
+        try:
+            result = backend.complete(CompletionRequest("plan", "1", "prompt"))
+        except CompletionError as e:
+            result = e
+        return result, posts, sleeps
+
+    def test_transient_failures_retried_with_backoff(self, monkeypatch):
+        replies = [
+            requests.ConnectionError("reset"),
+            requests.Timeout("slow"),
+            FakeResponse(503),
+            FakeResponse(429),
+            OK,
+        ]
+        result, posts, sleeps = self._run(monkeypatch, replies)
+        assert result == "done"
+        assert len(posts) == 5
+        assert sleeps == [0.5, 1.0, 2.0, 4.0]
+
+    def test_request_timeout_status_retried(self, monkeypatch):
+        result, posts, sleeps = self._run(monkeypatch, [FakeResponse(408), OK])
+        assert (result, len(posts), sleeps) == ("done", 2, [0.5])
+
+    def test_no_sleep_after_last_attempt(self, monkeypatch):
+        result, posts, sleeps = self._run(
+            monkeypatch, [FakeResponse(500)] * 3, max_retries=3
+        )
+        assert isinstance(result, CompletionError)
+        assert "retries exhausted: HTTP 500" in str(result)
+        assert len(posts) == 3
+        assert sleeps == [0.5, 1.0]
+
+    @pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
+    def test_client_errors_not_retried(self, monkeypatch, status):
+        result, posts, sleeps = self._run(monkeypatch, [FakeResponse(status), OK])
+        assert isinstance(result, CompletionError)
+        assert str(status) in str(result)
+        assert (len(posts), sleeps) == (1, [])
+
+    def test_malformed_body_not_retried(self, monkeypatch):
+        result, posts, sleeps = self._run(
+            monkeypatch, [FakeResponse(200, {"choices": []}), OK]
+        )
+        assert isinstance(result, CompletionError)
+        assert (len(posts), sleeps) == (1, [])
