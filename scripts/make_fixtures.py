@@ -6,7 +6,7 @@ backend, keyed by the exact requests the mining pipeline issues).
 
 The canned narratives are crafted so that most chains are perfectly factual
 against their report, one chain hallucinates a finding (factuality reject),
-and one sample has no plan response at all (pipeline-stage reject).
+and one sample gets a plan response that lists no steps (plan-stage reject).
 """
 
 import json
@@ -117,7 +117,7 @@ def fixture_samples() -> list[VqaSample]:
             source="fixture",
             split="train",
         ),
-        # no canned plan response for this one: pipeline-stage reject
+        # its plan response lists no steps: plan-stage reject
         VqaSample(
             id="f008",
             task=TaskType.BINARY_DIAGNOSIS,
@@ -234,7 +234,11 @@ CANNED = {
             "Mild cardiomegaly. There is an acute rib fracture. The answer is yes."
         ),
     },
-    # f008 intentionally has no canned plan
+}
+
+# plan responses that list no steps, so mining rejects the sample at "plan"
+UNPARSEABLE_PLANS = {
+    "f008": "I am unable to outline diagnostic steps for this study.",
 }
 
 
@@ -252,23 +256,24 @@ def build_fixture_records(samples: list[VqaSample]) -> list[dict]:
         )
 
     by_id = {s.id: s for s in samples}
-    for sid, canned in sorted(CANNED.items()):
-        sample = by_id[sid]
+
+    def plan_request(sample: VqaSample):
         options = (
             " ".join(f"{o.label}) {o.text}" for o in sample.options) or "(open-ended)"
         )
+        return render_template(
+            "plan",
+            question=sample.question,
+            options=options,
+            report=sample.report,
+        )
+
+    for sid, canned in sorted(CANNED.items()):
+        sample = by_id[sid]
         plan_text = "\n".join(
             f"{i + 1}. {goal}" for i, goal in enumerate(canned["goals"])
         )
-        add(
-            render_template(
-                "plan",
-                question=sample.question,
-                options=options,
-                report=sample.report,
-            ),
-            plan_text,
-        )
+        add(plan_request(sample), plan_text)
         for goal, evidence in zip(canned["goals"], canned["evidence"]):
             add(
                 render_template("evidence", goal=goal, report=sample.report),
@@ -289,6 +294,8 @@ def build_fixture_records(samples: list[VqaSample]) -> list[dict]:
             ),
             canned["narrative"],
         )
+    for sid, response in sorted(UNPARSEABLE_PLANS.items()):
+        add(plan_request(by_id[sid]), response)
     return records
 
 

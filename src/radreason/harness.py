@@ -40,21 +40,30 @@ EXIT_SAMPLE_ERRORS = 2
 
 
 def bootstrap_ci(
-    values: Sequence[float],
+    values: Sequence[float] | np.ndarray,
     resamples: int = 1000,
     level: float = 0.95,
     seed: int = 0,
-) -> tuple[float, float]:
-    """Nonparametric percentile bootstrap interval for the mean."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
+) -> tuple[float, float] | list[tuple[float, float]]:
+    """Nonparametric percentile bootstrap interval for the mean.
+
+    `values` is one sample of n values, or an (n, k) table whose k columns
+    are samples over the same n rows; a table gets one interval per column,
+    all from one draw of resampled rows.
+    """
+    table = np.asarray(values, dtype=float)
+    if table.size == 0:
         raise ValueError("bootstrap_ci requires non-empty values")
+    n = table.shape[0]
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, values.size, size=(resamples, values.size))
-    means = values[idx].mean(axis=1)
+    idx = rng.integers(0, n, size=(resamples, n))
     alpha = (1.0 - level) / 2.0
-    low, high = np.quantile(means, [alpha, 1.0 - alpha])
-    return float(low), float(high)
+    intervals = []
+    for col in table.reshape(n, -1).T:
+        means = col[idx].mean(axis=1)
+        low, high = np.quantile(means, [alpha, 1.0 - alpha])
+        intervals.append((float(low), float(high)))
+    return intervals if table.ndim > 1 else intervals[0]
 
 
 def config_hash(config: dict) -> str:
@@ -208,12 +217,12 @@ class EvalReport:
 
 
 def _metric_cells(records: list[dict], resamples: int, seed: int) -> dict:
-    out = {}
-    for m in _METRICS:
-        values = [float(r[m]) for r in records]
-        low, high = bootstrap_ci(values, resamples=resamples, seed=seed)
-        out[m] = {"mean": float(np.mean(values)), "ci_low": low, "ci_high": high}
-    return out
+    columns = np.array([[float(r[m]) for r in records] for m in _METRICS])
+    intervals = bootstrap_ci(columns.T, resamples=resamples, seed=seed)
+    return {
+        m: {"mean": float(np.mean(col)), "ci_low": low, "ci_high": high}
+        for m, col, (low, high) in zip(_METRICS, columns, intervals)
+    }
 
 
 def cmd_eval(
@@ -287,11 +296,16 @@ def cmd_compile(
     threshold: float = 1.0,
     rejections: Sequence[Rejection] = (),
 ) -> tuple[BenchmarkBundle, int]:
-    """Factuality filter -> balance -> compile. Writes the benchmark files,
+    """Factuality filter -> balance -> compile. A chain whose sample id is
+    not in the corpus raises ValueError. Writes the benchmark files,
     the kept chains (`chains.jsonl`) and every rejection, the given ones and
     the filter's (`rejections.jsonl`); returns the bundle and the number of
     rejections."""
     out_dir = Path(out_dir)
+    corpus_ids = {s.id for s in corpus.samples}
+    for c in chains:
+        if c.sample_id not in corpus_ids:
+            raise ValueError(f"chain references unknown sample id {c.sample_id!r}")
     kept, filtered = filter_by_factuality(chains, threshold=threshold)
     rejections = sorted([*rejections, *filtered], key=lambda r: (r.sample_id, r.stage))
     balanced = balance(corpus, seed=seed)

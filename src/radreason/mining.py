@@ -2,8 +2,8 @@
 
 Three completion-backed steps per sample (plan, evidence, refine), then
 factuality filtering, disease balancing, and benchmark bundle emission.
-Per-sample failures skip the sample with a logged reason; they never abort
-the batch.
+Per-sample content failures skip the sample with a logged reason; a failed
+completion (backend or cache) aborts the batch.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .core import (
     sample_to_record,
 )
 from .llm import CompletionClient, render_template
-from .observations import Role
+from .observations import ExtractionError, MatchError, Role
 from .scoring import factuality
 
 
@@ -102,9 +102,14 @@ def load_chains(path: str | Path) -> list[MinedChain]:
     located as `path:line: reason`."""
     path = Path(path)
     chains = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as e:
+                raise ValueError(
+                    f"{path}:{lineno}: invalid UTF-8 at byte {e.start}: {e.reason}"
+                ) from None
             if not line:
                 continue
             try:
@@ -212,7 +217,12 @@ def mine_corpus(
     corpus: Corpus, client: CompletionClient, matcher, workers: int = 1
 ) -> tuple[list[MinedChain], list[Rejection]]:
     """Mine every sample that carries a report; output order is fixed by
-    sample id regardless of worker count."""
+    sample id regardless of worker count.
+
+    A response that cannot be used is that sample's rejection. A failed
+    completion (`CompletionError`, a cache miss included) is raised: the
+    backend or cache is at fault, not the sample, and mining on would
+    quietly shrink the benchmark."""
     candidates = [s for s in corpus.samples if s.report]
 
     def _one(sample: VqaSample):
@@ -220,7 +230,7 @@ def mine_corpus(
             return mine_sample(sample, client, matcher), None
         except MiningError as e:
             return None, Rejection(e.sample_id, e.stage, e.reason)
-        except Exception as e:  # noqa: BLE001 - per-sample fallibility is expected
+        except (ExtractionError, MatchError) as e:
             return None, Rejection(sample.id, "mine", str(e))
 
     if workers <= 1:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional
@@ -253,11 +254,21 @@ def _fold_negation(normalized: str) -> list[str]:
     return [normalized]
 
 
-def _clause_observations(clause: str) -> list[Observation]:
+# Templated clinical text repeats its clauses ("no pneumothorax") across
+# texts and roles, and a clause's observations depend on its string alone.
+# At about 0.5 KB an entry, a full memo holds about 2 MB.
+_CLAUSE_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=_CLAUSE_MEMO_SIZE)
+def _clause_observations(clause: str) -> tuple[Observation, ...]:
+    """Observations of one raw clause, memoised: a repeat returns the
+    tuple built the first time (observations are frozen, so it is safe to
+    share)."""
     clause = _strip_scaffolding(clause)
     norm = normalize_phrase(_TRAILING_RE.sub("", clause.strip()))
     if norm in _EMPTY_CLAUSES or any(rx.match(norm) for rx in _DROP_RES):
-        return []
+        return ()
     forms = _fold_negation(norm)
     if forms == [norm]:
         # non-negated clause: conjunction lists name separate findings
@@ -273,7 +284,7 @@ def _clause_observations(clause: str) -> list[Observation]:
                 polarity=detect_polarity(folded),
             )
         )
-    return out
+    return tuple(out)
 
 
 def lexical_extract(text: str, role: Role) -> ObservationSet:
@@ -293,10 +304,6 @@ def lexical_extract(text: str, role: Role) -> ObservationSet:
 # matcher backends
 
 
-# roles whose texts come from the corpus, so a run meets each one many times
-_REFERENCE_ROLES = frozenset({Role.REPORT, Role.GROUND_TRUTH})
-
-
 class LexicalMatcher:
     """Deterministic matcher: normalization + synonym folding + polarity."""
 
@@ -304,25 +311,11 @@ class LexicalMatcher:
 
     def __init__(self, synonyms: Optional[SynonymTable] = None):
         self.synonyms = synonyms if synonyms is not None else SynonymTable.bundled()
-        # (role, text) -> observation set of a reference text; see `extract`
-        self._references: dict[tuple[Role, str], ObservationSet] = {}
 
     def extract(self, text: str, role: Role) -> ObservationSet:
-        """Observation set of `text`.
-
-        Report and ground-truth texts are memoised per matcher: a repeat
-        returns the set extracted the first time (sets are frozen, so it is
-        safe to share). Those texts come from the corpus, which bounds the
-        memo. Model texts are extracted on every call. Threads that race on
-        one new text at worst extract it twice, with equal results.
-        """
-        if role not in _REFERENCE_ROLES:
-            return lexical_extract(text, role)
-        key = (role, text)
-        obs = self._references.get(key)
-        if obs is None:
-            obs = self._references[key] = lexical_extract(text, role)
-        return obs
+        """Observation set of `text` (its clauses are memoised, see
+        `_clause_observations`)."""
+        return lexical_extract(text, role)
 
     def _key(self, obs: Observation) -> tuple[Polarity, str]:
         return obs.polarity, self.synonyms.fold(obs.normalized)

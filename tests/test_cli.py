@@ -57,6 +57,27 @@ def test_mine_reports_sample_errors(tmp_path, data_dir, mock_config, capsys):
     assert counts["total"] == 10
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_mine_cache_miss_is_fatal(tmp_path, data_dir, workers, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"cache_dir": str(tmp_path / "cache")}), encoding="utf-8")
+    out = tmp_path / "bench"
+    rc = main(
+        [
+            "--config", str(config),
+            "--backend", "cache-only",
+            "--workers", workers,
+            "mine", str(data_dir / "fixture_corpus.jsonl"),
+            "--out", str(out),
+        ]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: cache_only backend: no cached response for key "
+    )
+    assert not out.exists()
+
+
 def test_train_toy_lists_presets_without_arg(tmp_path, capsys):
     rc = main(["train-toy", "corpus.jsonl", "--out", str(tmp_path)])
     assert rc == 0
@@ -189,3 +210,28 @@ def test_compile_bench_locates_malformed_chain(tmp_path, data_dir, capsys, line,
                "--out", str(tmp_path / "out")])
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"error: {chains}:2: {error}")
+
+
+def test_compile_bench_refuses_unknown_sample_id(tmp_path, data_dir, mock_config, capsys):
+    corpus = str(data_dir / "fixture_corpus.jsonl")
+    mined = tmp_path / "mined"
+    main(["--config", mock_config, "mine", corpus, "--out", str(mined)])
+    records = [json.loads(line) for line in (mined / "chains.jsonl").open()]
+    records[1]["sample_id"] = "ghost"
+    chains = tmp_path / "chains.jsonl"
+    chains.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["compile-bench", corpus, str(chains), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: chain references unknown sample id 'ghost'\n"
+
+
+def test_compile_bench_locates_non_utf8_chain(tmp_path, data_dir, capsys):
+    chains = tmp_path / "chains.jsonl"
+    chains.write_bytes(b'\n{"sample_id": "f\xff01"}\n')
+    rc = main(["compile-bench", str(data_dir / "fixture_corpus.jsonl"), str(chains),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {chains}:2: invalid UTF-8 at byte 16: invalid start byte\n"
+    )

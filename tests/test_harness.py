@@ -41,6 +41,21 @@ class TestBootstrapCi:
         with pytest.raises(ValueError):
             bootstrap_ci([])
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.floats(-5, 5, allow_nan=False), min_size=3, max_size=3),
+            min_size=1, max_size=25,
+        ),
+        st.integers(0, 1000),
+    )
+    def test_table_columns_equal_single_samples(self, rows, seed):
+        table = np.array(rows)
+        intervals = bootstrap_ci(table, resamples=200, seed=seed)
+        assert intervals == [
+            bootstrap_ci(list(table[:, j]), resamples=200, seed=seed) for j in range(3)
+        ]
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=25),
@@ -245,14 +260,14 @@ class TestCmdEval:
 class TestCmdMine:
     def test_bundle_and_rejections(self, mined_bundle, tmp_path):
         bundle, n_rejected = mined_bundle
-        assert n_rejected == 2  # one factuality reject, one pipeline reject
+        assert n_rejected == 2  # one factuality reject, one plan reject
         rejections = [
             json.loads(line)
             for line in (bundle.directory / "rejections.jsonl").read_text().splitlines()
         ]
         assert {(r["sample_id"], r["stage"]) for r in rejections} == {
             ("f007", "factuality_filter"),
-            ("f008", "mine"),
+            ("f008", "plan"),
         }
         chains = [
             json.loads(line)

@@ -13,6 +13,7 @@ from radreason.core import (
     label_by_answer,
     load_corpus,
 )
+from radreason.llm import CacheMissError, make_client
 from radreason.mining import (
     MinedChain,
     MiningError,
@@ -93,8 +94,8 @@ class TestMineCorpus:
         assert [c.sample_id for c in chains] == [
             "f001", "f002", "f003", "f004", "f005", "f006", "f007",
         ]
-        # f008 has no canned plan: logged as a mining-stage rejection
-        assert [(r.sample_id, r.stage) for r in rejections] == [("f008", "mine")]
+        # f008's plan lists no steps: logged as a plan-stage rejection
+        assert [(r.sample_id, r.stage) for r in rejections] == [("f008", "plan")]
 
     def test_worker_count_does_not_change_output(
         self, fixture_corpus, mock_client, matcher
@@ -102,6 +103,13 @@ class TestMineCorpus:
         one = mine_corpus(fixture_corpus, mock_client, matcher, workers=1)
         four = mine_corpus(fixture_corpus, mock_client, matcher, workers=4)
         assert one == four
+
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_completion_failure_raised(self, fixture_corpus, matcher, tmp_path, workers):
+        client = make_client("cache-only", cache_dir=tmp_path)
+        with pytest.raises(CacheMissError):
+            mine_corpus(fixture_corpus, client, matcher, workers=workers)
 
 
 class TestFactualityFilter:

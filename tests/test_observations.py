@@ -1,7 +1,10 @@
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from radreason import observations
 from radreason.observations import (
     _SCAFFOLD_RES,
     LexicalMatcher,
@@ -10,6 +13,7 @@ from radreason.observations import (
     Polarity,
     Role,
     SynonymTable,
+    _clause_observations,
     _strip_scaffolding,
     detect_polarity,
     is_normalish,
@@ -293,15 +297,23 @@ class TestScaffolding:
         assert _strip_scaffolding(clause) == _strip_scaffolding_loop(clause)
 
 
-class TestReferenceMemo:
+# clauses whose observations come from scaffold stripping, negation folding
+# and conjunction splitting
+MEMO_CLAUSES = (
+    PHRASES + VARIANTS
+    + [f"{lead} {p}" for lead in SCAFFOLDS for p in ("cardiomegaly", "no edema")]
+    + ["no pleural effusion or pneumothorax", "atelectasis and edema",
+       "without edema, effusion or pneumothorax", "heart size is normal"]
+)
+
+
+class TestClauseMemo:
     REPORT = "There is mild cardiomegaly. No pneumothorax, clear lungs."
 
-    @pytest.mark.parametrize("role", [Role.REPORT, Role.GROUND_TRUTH])
-    def test_repeat_returns_same_set(self, role):
-        m = LexicalMatcher()
-        first = m.extract(self.REPORT, role)
-        assert first == lexical_extract(self.REPORT, role)
-        assert m.extract(self.REPORT, role) is first
+    def test_repeat_returns_same_tuple(self):
+        first = _clause_observations(" no pneumothorax or edema")
+        assert isinstance(first, tuple) and len(first) == 2
+        assert _clause_observations(" no pneumothorax or edema") is first
 
     def test_roles_kept_apart(self):
         m = LexicalMatcher()
@@ -309,15 +321,24 @@ class TestReferenceMemo:
         gt = m.extract(self.REPORT, Role.GROUND_TRUTH)
         assert report.role is Role.REPORT and gt.role is Role.GROUND_TRUTH
 
-    def test_model_texts_not_memoised(self):
-        m = LexicalMatcher()
-        first = m.extract(self.REPORT, Role.MODEL)
-        again = m.extract(self.REPORT, Role.MODEL)
-        assert again == first and again is not first
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(MEMO_CLAUSES), st.sampled_from([", ", ". ", "; "])),
+            min_size=1, max_size=8,
+        )
+    )
+    def test_equals_unmemoised(self, clauses):
+        text = "".join(c + sep for c, sep in clauses)
+        memoised = [lexical_extract(text, Role.MODEL) for _ in range(2)]
+        with patch.object(
+            observations, "_clause_observations", _clause_observations.__wrapped__
+        ):
+            fresh = lexical_extract(text, Role.MODEL)
+        assert memoised == [fresh, fresh]
 
-    @given(st.lists(st.sampled_from(PHRASES + VARIANTS), min_size=1, max_size=6))
-    def test_memoised_equals_fresh(self, phrases):
-        m = LexicalMatcher()
-        text = ". ".join(phrases) + "."
-        for _ in range(2):
-            assert m.extract(text, Role.REPORT) == lexical_extract(text, Role.REPORT)
+    def test_bounded(self):
+        maxsize = _clause_observations.cache_info().maxsize
+        _clause_observations.cache_clear()
+        for i in range(maxsize + 100):
+            _clause_observations(f"finding {i}")
+        assert _clause_observations.cache_info().currsize <= maxsize
