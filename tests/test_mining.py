@@ -104,7 +104,6 @@ class TestMineCorpus:
         four = mine_corpus(fixture_corpus, mock_client, matcher, workers=4)
         assert one == four
 
-
     @pytest.mark.parametrize("workers", [1, 2])
     def test_completion_failure_raised(self, fixture_corpus, matcher, tmp_path, workers):
         client = make_client("cache-only", cache_dir=tmp_path)
