@@ -29,7 +29,10 @@ from .training import PRESETS, SftConfig, toy_grpo_config
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    config = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    return config
 
 
 def _make_matcher(args, config: dict):
@@ -107,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args.config)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError covers bad JSON and UTF-8
         print(f"error: cannot read config: {e}", file=sys.stderr)
         return EXIT_FATAL
 
@@ -186,10 +189,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
 
         parser.error(f"unknown command {args.command!r}")
-    except (OSError, CompletionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_FATAL
-    except ValueError as e:
+    except (OSError, CompletionError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FATAL
     return EXIT_FATAL

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, asdict
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 
 class TaskType(str, Enum):
@@ -139,12 +139,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.samples)
 
-    def by_id(self, sample_id: str) -> VqaSample:
-        for s in self.samples:
-            if s.id == sample_id:
-                return s
-        raise KeyError(sample_id)
-
 
 def sample_to_record(sample: VqaSample) -> dict:
     rec = asdict(sample)
@@ -154,61 +148,87 @@ def sample_to_record(sample: VqaSample) -> dict:
     return rec
 
 
+SAMPLE_FIELDS = ("id", "task", "images", "question", "answer")
+
+
 def sample_from_record(rec: dict) -> VqaSample:
+    """Build and validate a sample from a record holding every field of
+    `SAMPLE_FIELDS`; a field of the wrong shape raises CorpusError."""
     try:
         task = TaskType(rec["task"])
-    except (KeyError, ValueError):
-        raise CorpusError(f"field 'task' missing or unknown: {rec.get('task')!r}")
-    options = tuple(
-        Option(label=str(o["label"]), text=str(o["text"]))
-        for o in rec.get("options") or []
+    except ValueError:
+        raise CorpusError(f"field 'task' unknown: {rec['task']!r}") from None
+    if not isinstance(rec["id"], str):
+        raise CorpusError("field 'id' must be a string")
+    images, options = rec["images"], rec.get("options") or []
+    if not isinstance(images, list):
+        raise CorpusError("field 'images' must be a list")
+    if not (isinstance(options, list)
+            and all(isinstance(o, dict) and "label" in o and "text" in o for o in options)):
+        raise CorpusError("field 'options' must be a list of {label, text} objects")
+    sample = VqaSample(
+        id=rec["id"],
+        task=task,
+        images=tuple(str(x) for x in images),
+        question=str(rec["question"]),
+        options=tuple(Option(label=str(o["label"]), text=str(o["text"])) for o in options),
+        answer=str(rec["answer"]),
+        report=str(rec.get("report") or ""),
+        reasoning=str(rec.get("reasoning") or ""),
+        source=str(rec.get("source") or ""),
+        split=str(rec.get("split") or "train"),
     )
-    try:
-        sample = VqaSample(
-            id=str(rec["id"]),
-            task=task,
-            images=tuple(str(x) for x in rec["images"]),
-            question=str(rec["question"]),
-            options=options,
-            answer=str(rec["answer"]),
-            report=str(rec.get("report") or ""),
-            reasoning=str(rec.get("reasoning") or ""),
-            source=str(rec.get("source") or ""),
-            split=str(rec.get("split") or "train"),
-        )
-    except KeyError as e:
-        raise CorpusError(f"missing field {e.args[0]!r}")
     sample.validate()
     return sample
 
 
-def load_corpus(path: str | Path, provenance: str = "") -> Corpus:
-    """Load a line-delimited corpus file, validating every record.
-
-    Validation failures report the 1-based line number and offending field.
-    """
-    path = Path(path)
-    samples: list[VqaSample] = []
-    seen: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+def read_jsonl(
+    path: str | Path, required: tuple[str, ...]
+) -> Iterator[tuple[int, Optional[dict], Optional[str]]]:
+    """Stream a JSON Lines file as (line number, record, reason) per non-blank
+    line. `reason` is None for an object holding every `required` field, else
+    it names the fault: invalid UTF-8, invalid JSON, not a JSON object, or
+    missing fields. `record` is the parsed object whenever the line is one, so
+    a caller can still name a record that lacks a field."""
+    with Path(path).open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            # decoded line by line, so one bad byte costs only its own line
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                yield lineno, None, f"invalid UTF-8 at byte {e.start}: {e.reason}"
+                continue
+            if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                rec = json.loads(line.rstrip("\n"))
             except json.JSONDecodeError as e:
-                raise CorpusError(f"{path}:{lineno}: malformed record: {e}")
-            try:
-                sample = sample_from_record(rec)
-            except CorpusError as e:
-                raise CorpusError(f"{path}:{lineno}: {e}")
+                yield lineno, None, f"invalid JSON at column {e.colno}: {e.msg}"
+                continue
+            if not isinstance(rec, dict):
+                yield lineno, None, "not a JSON object"
+                continue
+            missing = [f for f in required if f not in rec]
+            reason = "missing field " + ", ".join(map(repr, missing)) if missing else None
+            yield lineno, rec, reason
+
+
+def load_corpus(path: str | Path, provenance: str = "") -> Corpus:
+    """Load a line-delimited corpus file, validating every record. A
+    malformed record raises CorpusError located as `path:line: reason`."""
+    samples: list[VqaSample] = []
+    seen: set[str] = set()
+    for lineno, rec, reason in read_jsonl(path, SAMPLE_FIELDS):
+        try:
+            if reason:
+                raise CorpusError(reason)
+            sample = sample_from_record(rec)
             if sample.id in seen:
-                raise CorpusError(
-                    f"{path}:{lineno}: duplicate sample id {sample.id!r}"
-                )
-            seen.add(sample.id)
-            samples.append(sample)
+                raise CorpusError(f"duplicate sample id {sample.id!r}")
+        except CorpusError as e:
+            raise CorpusError(f"{path}:{lineno}: {e}") from None
+        seen.add(sample.id)
+        samples.append(sample)
     return Corpus(samples=tuple(samples), provenance=provenance or str(path))
 
 
@@ -285,5 +305,6 @@ LabelFn = Callable[[VqaSample], str]
 def count_labels(samples: Iterable[VqaSample], label_of: LabelFn) -> dict[str, int]:
     counts: dict[str, int] = {}
     for s in samples:
-        counts[label_of(s)] = counts.get(label_of(s), 0) + 1
+        label = label_of(s)
+        counts[label] = counts.get(label, 0) + 1
     return counts

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .core import Corpus
+from .core import Corpus, read_jsonl
 from .llm import CompletionClient, load_template
 from .mining import (
     BenchmarkBundle,
@@ -91,42 +91,6 @@ def write_manifest(out_dir: Path, config: dict, seed: int, matcher=None) -> None
 # ---------------------------------------------------------------------------
 # scoring driver
 
-def _read_outputs(outputs_path: str | Path) -> tuple[list[tuple[int, str, str]], list[dict]]:
-    """Stream an outputs file (JSONL: {"id", "output"}) into (line, id,
-    output) rows, and an error (id or None, line, reason) for each non-blank
-    line that is not UTF-8 or not a JSON object carrying both fields."""
-    rows: list[tuple[int, str, str]] = []
-    errors: list[dict] = []
-    with Path(outputs_path).open("rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            # decoded line by line, so one bad byte costs only its own line
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as e:
-                reason = f"invalid UTF-8 at byte {e.start}: {e.reason}"
-                errors.append({"id": None, "line": lineno, "error": reason})
-                continue
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line.rstrip("\n"))
-            except json.JSONDecodeError as e:
-                reason = f"invalid JSON at column {e.colno}: {e.msg}"
-                errors.append({"id": None, "line": lineno, "error": reason})
-                continue
-            if not isinstance(rec, dict):
-                errors.append({"id": None, "line": lineno, "error": "not a JSON object"})
-                continue
-            sample_id = str(rec["id"]) if "id" in rec else None
-            missing = [f for f in ("id", "output") if f not in rec]
-            if missing:
-                reason = "missing field " + ", ".join(repr(f) for f in missing)
-                errors.append({"id": sample_id, "line": lineno, "error": reason})
-                continue
-            rows.append((lineno, sample_id, str(rec["output"])))
-    return rows, errors
-
-
 def cmd_score(
     outputs_path: str | Path,
     corpus: Corpus,
@@ -140,7 +104,13 @@ def cmd_score(
     unresolvable or unscorable ids are collected as errors, located by line
     and sorted by (id, line), and the run continues.
     """
-    rows, bad_lines = _read_outputs(outputs_path)
+    rows, bad_lines = [], []
+    for lineno, rec, reason in read_jsonl(outputs_path, ("id", "output")):
+        sample_id = str(rec["id"]) if rec is not None and "id" in rec else None
+        if reason:
+            bad_lines.append({"id": sample_id, "line": lineno, "error": reason})
+        else:
+            rows.append((lineno, sample_id, str(rec["output"])))
     by_id = {s.id: s for s in corpus.samples}
     open_scorer = partial(entity_f1, matcher=matcher)
 
@@ -225,19 +195,34 @@ def _metric_cells(records: list[dict], resamples: int, seed: int) -> dict:
     }
 
 
+def _eval_fault(rec: dict) -> str | None:
+    """Why `eval` cannot use a score record, or None: `id` and `task` must be
+    strings and every metric a number (JSON true is not one)."""
+    for field in ("id", "task"):
+        if not isinstance(rec[field], str):
+            return f"field {field!r} is not a string"
+    for m in _METRICS:
+        if type(rec[m]) not in (int, float):
+            return f"field {m!r} is not a number"
+    return None
+
+
 def cmd_eval(
     records_path: str | Path,
     resamples: int = 1000,
     seed: int = 0,
 ) -> EvalReport:
     """Per-task table with CI annotations plus two overall rows: the
-    sample-weighted mean and the unweighted mean over tasks."""
+    sample-weighted mean and the unweighted mean over tasks. Skips
+    `error_record` lines; any other bad line raises ValueError `path:line: reason`."""
     records = []
-    for line in Path(records_path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            rec = json.loads(line)
-            if "error_record" not in rec:
-                records.append(rec)
+    for lineno, rec, reason in read_jsonl(records_path, ("id", "task", *_METRICS)):
+        if rec is not None and "error_record" in rec:
+            continue
+        reason = reason or _eval_fault(rec)
+        if reason:
+            raise ValueError(f"{records_path}:{lineno}: {reason}")
+        records.append(rec)
     if not records:
         raise ValueError("no score records to evaluate")
     tasks = sorted({r["task"] for r in records})

@@ -2,7 +2,7 @@
 
 All prompts flow through versioned templates; the idempotency key is a pure
 function of (template version, prompt, decoding params), so any run recorded
-against the remote backend replays bit-identically under cache_only.
+against the remote backend replays bit-identically under cache-only.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
+from .core import read_jsonl
+
 CREDENTIAL_ENV_VAR = "RADREASON_API_KEY"
 
 
@@ -27,7 +29,7 @@ class CompletionError(RuntimeError):
 
 class CacheMissError(CompletionError):
     def __init__(self, key: str):
-        super().__init__(f"cache_only backend: no cached response for key {key}")
+        super().__init__(f"cache-only backend: no cached response for key {key}")
         self.key = key
 
 
@@ -120,30 +122,31 @@ class ResponseCache:
 class MockBackend:
     """Fixture-keyed canned responses; never touches the network."""
 
-    name = "mock"
-
     def __init__(self, responses: dict[str, str]):
         self._responses = dict(responses)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockBackend":
         """Load a JSONL fixture. Records either carry a precomputed "key", or
-        the request fields from which the key is recomputed."""
+        the request fields from which the key is recomputed. A malformed
+        line raises CompletionError located as `path:line: reason`."""
         responses: dict[str, str] = {}
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            rec = json.loads(line)
+        for lineno, rec, reason in read_jsonl(path, ("response",)):
+            if reason:
+                raise CompletionError(f"{path}:{lineno}: {reason}")
             if "key" in rec:
                 key = rec["key"]
             else:
-                key = CompletionRequest(
-                    template_id=rec["template_id"],
-                    template_version=rec["template_version"],
-                    prompt=rec["prompt"],
-                    temperature=rec.get("temperature", 0.0),
-                    max_tokens=rec.get("max_tokens", 1024),
-                ).idempotency_key
+                try:
+                    key = CompletionRequest(
+                        template_id=rec["template_id"],
+                        template_version=rec["template_version"],
+                        prompt=rec["prompt"],
+                        temperature=rec.get("temperature", 0.0),
+                        max_tokens=rec.get("max_tokens", 1024),
+                    ).idempotency_key
+                except KeyError as e:
+                    raise CompletionError(f"{path}:{lineno}: missing field {e}") from None
             responses[key] = rec["response"]
         return cls(responses)
 
@@ -166,8 +169,6 @@ class RemoteBackend:
 
     Retries transport errors, 5xx, 408 and 429, with no wait after the last
     attempt; any other error response fails at once."""
-
-    name = "remote"
 
     def __init__(
         self,
@@ -228,8 +229,6 @@ class RemoteBackend:
 
 class CacheOnlyBackend:
     """Replays a primed cache; a miss is a deterministic error."""
-
-    name = "cache_only"
 
     def complete(self, request: CompletionRequest) -> str:
         raise CacheMissError(request.idempotency_key)

@@ -23,6 +23,7 @@ from .core import (
     VqaSample,
     count_labels,
     label_by_answer,
+    read_jsonl,
     sample_to_record,
 )
 from .llm import CompletionClient, render_template
@@ -100,24 +101,16 @@ def load_chains(path: str | Path) -> list[MinedChain]:
     """Read a chains file (JSONL of `MinedChain.as_record` records, as
     `chains.jsonl` of a mining run). A malformed line raises ValueError
     located as `path:line: reason`."""
-    path = Path(path)
     chains = []
-    with path.open("rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as e:
-                raise ValueError(
-                    f"{path}:{lineno}: invalid UTF-8 at byte {e.start}: {e.reason}"
-                ) from None
-            if not line:
-                continue
-            try:
-                chains.append(MinedChain.from_record(json.loads(line)))
-            except KeyError as e:
-                raise ValueError(f"{path}:{lineno}: missing field {e}") from None
-            except (AttributeError, TypeError, ValueError) as e:
-                raise ValueError(f"{path}:{lineno}: malformed chain: {e}") from None
+    for lineno, rec, reason in read_jsonl(path, ("sample_id", "steps", "narrative", "r_f")):
+        if reason:
+            raise ValueError(f"{path}:{lineno}: {reason}")
+        try:
+            chains.append(MinedChain.from_record(rec))
+        except KeyError as e:
+            raise ValueError(f"{path}:{lineno}: missing field {e}") from None
+        except (AttributeError, TypeError, ValueError) as e:
+            raise ValueError(f"{path}:{lineno}: malformed chain: {e}") from None
     return chains
 
 

@@ -73,7 +73,7 @@ def test_mine_cache_miss_is_fatal(tmp_path, data_dir, workers, capsys):
     )
     assert rc == 1
     assert capsys.readouterr().err.startswith(
-        "error: cache_only backend: no cached response for key "
+        "error: cache-only backend: no cached response for key "
     )
     assert not out.exists()
 
@@ -200,7 +200,8 @@ def test_compile_bench_reports_filtered_chains(tmp_path, data_dir, mock_config):
         ('{"sample_id": "f001"}', "missing field 'steps'"),
         ('{"sample_id": "f001", "steps": [], "narrative": "n", "r_f": "high"}',
          "malformed chain: could not convert string to float: 'high'"),
-        ('{"sample_id": "f001", "steps', "malformed chain: Unterminated string"),
+        ('{"sample_id": "f001", "steps',
+         "invalid JSON at column 23: Unterminated string starting at"),
     ],
 )
 def test_compile_bench_locates_malformed_chain(tmp_path, data_dir, capsys, line, error):
@@ -235,3 +236,70 @@ def test_compile_bench_locates_non_utf8_chain(tmp_path, data_dir, capsys):
     assert capsys.readouterr().err == (
         f"error: {chains}:2: invalid UTF-8 at byte 16: invalid start byte\n"
     )
+
+
+# One malformed line, after a blank one, in each line-delimited input: every
+# reader locates it alike; `score` keeps going and records it instead.
+_ARGV = {
+    "corpus": ["compile-bench", "{bad}", "{out}.chains", "--out", "{out}"],
+    "chains": ["compile-bench", "{corpus}", "{bad}", "--out", "{out}"],
+    "outputs": ["score", "{corpus}", "{bad}", "--out", "{out}"],
+    "records": ["eval", "{bad}"],
+    "fixture": ["--config", "{config}", "mine", "{corpus}", "--out", "{out}"],
+    "config": ["--config", "{bad}", "eval", "{bad}"],
+}
+_SAMPLE = {"id": "s", "task": "binary_diagnosis", "images": ["x.png"], "question": "q",
+           "options": [{"label": "A", "text": "yes"}], "answer": "A"}
+_SCORES = {"id": "s", "task": "t", "r_f": 1, "r_c": True, "r_e": 1, "radrscore": 1,
+           "outcome": 1}
+_MALFORMED = [
+    *[pytest.param(kind, line, reason, id=f"{kind}-{fault}")
+      for kind in ("corpus", "chains", "outputs", "records", "fixture")
+      for fault, line, reason in [
+          ("utf8", b'{"id": "\xff"}', "invalid UTF-8 at byte 8: invalid start byte"),
+          ("json", b'{"id": "x"', "invalid JSON at column 11: Expecting ',' delimiter"),
+          ("array", b"[1, 2]", "not a JSON object"),
+      ]],
+    *[pytest.param(kind, b"{}", "missing field " + fields, id=f"{kind}-missing")
+      for kind, fields in [
+          ("corpus", "'id', 'task', 'images', 'question', 'answer'"),
+          ("chains", "'sample_id', 'steps', 'narrative', 'r_f'"),
+          ("outputs", "'id', 'output'"),
+          ("records", "'id', 'task', 'r_f', 'r_c', 'r_e', 'radrscore', 'outcome'"),
+          ("fixture", "'response'"),
+      ]],
+    pytest.param("fixture", b'{"response": "r"}', "missing field 'template_id'",
+                 id="fixture-missing-request"),
+    pytest.param("records", json.dumps(_SCORES).encode(), "field 'r_c' is not a number",
+                 id="records-non-number"),
+    pytest.param("records", json.dumps({**_SCORES, "r_c": 1, "task": 3}).encode(),
+                 "field 'task' is not a string", id="records-non-string"),
+    pytest.param("corpus", json.dumps({**_SAMPLE, "id": None}).encode(),
+                 "field 'id' must be a string", id="corpus-null-id"),
+    pytest.param("corpus", json.dumps({**_SAMPLE, "images": 5}).encode(),
+                 "field 'images' must be a list", id="corpus-images"),
+    pytest.param("corpus", json.dumps({**_SAMPLE, "options": ["A"]}).encode(),
+                 "field 'options' must be a list of {label, text} objects",
+                 id="corpus-options"),
+    pytest.param("config", b"[1]", "not a JSON object", id="config-array"),
+]
+
+
+@pytest.mark.parametrize("kind, line, reason", _MALFORMED)
+def test_malformed_input_located(tmp_path, data_dir, capsys, kind, line, reason):
+    bad, config = tmp_path / "bad.jsonl", tmp_path / "config.json"
+    bad.write_bytes(b"\n" + line + b"\n")
+    config.write_text(json.dumps({"mock_fixture": str(bad)}), encoding="utf-8")
+    paths = {"bad": bad, "config": config, "out": tmp_path / "out",
+             "corpus": data_dir / "fixture_corpus.jsonl"}
+    rc = main([arg.format(**paths) for arg in _ARGV[kind]])
+    err = capsys.readouterr().err
+    if kind == "outputs":
+        assert rc == 2 and err == ""
+        assert json.loads((tmp_path / "out").read_text(encoding="utf-8")) == {
+            "error_record": {"id": None, "line": 2, "error": reason}
+        }
+    elif kind == "config":
+        assert rc == 1 and err == f"error: cannot read config: {bad}: {reason}\n"
+    else:
+        assert rc == 1 and err == f"error: {bad}:2: {reason}\n"

@@ -107,12 +107,6 @@ class TestCorpus:
         with pytest.raises(CorpusError, match="duplicate"):
             Corpus((make_sample(), make_sample()))
 
-    def test_by_id(self):
-        corpus = Corpus((make_sample(id="x"), make_sample(id="y")))
-        assert corpus.by_id("y").id == "y"
-        with pytest.raises(KeyError):
-            corpus.by_id("z")
-
 
 class TestSerialization:
     def test_round_trip(self):

@@ -29,6 +29,11 @@ from radreason.mining import (
 )
 
 
+@pytest.fixture(scope="module")
+def fixture_samples(fixture_corpus):
+    return {s.id: s for s in fixture_corpus.samples}
+
+
 def label_corpus(counts: dict[str, int]) -> Corpus:
     """Anomaly-detection corpus with the given answer-label multiset."""
     samples = []
@@ -59,8 +64,8 @@ class TestParseList:
 
 
 class TestMineSample:
-    def test_full_chain(self, fixture_corpus, mock_client, matcher):
-        sample = fixture_corpus.by_id("f003")
+    def test_full_chain(self, fixture_samples, mock_client, matcher):
+        sample = fixture_samples["f003"]
         chain = mine_sample(sample, mock_client, matcher)
         assert chain.sample_id == "f003"
         assert [s.plan.goal for s in chain.steps] == [
@@ -70,21 +75,21 @@ class TestMineSample:
         assert chain.r_f == 1.0
         assert "atelectasis" in chain.narrative
 
-    def test_plan_requires_report(self, fixture_corpus, mock_client):
-        sample = fixture_corpus.by_id("f009")  # answer-only
+    def test_plan_requires_report(self, fixture_samples, mock_client):
+        sample = fixture_samples["f009"]  # answer-only
         with pytest.raises(MiningError, match="no report"):
             build_plans(sample, mock_client)
 
-    def test_inferred_evidence_flagged(self, fixture_corpus, mock_client):
-        sample = fixture_corpus.by_id("f007")
+    def test_inferred_evidence_flagged(self, fixture_samples, mock_client):
+        sample = fixture_samples["f007"]
         step = extract_evidence(
             PlanStep(goal="Assess the ribs", order=1), sample.report, mock_client
         )
         assert step.inferred
         assert step.evidence == "no disease"
 
-    def test_record_round_trip(self, fixture_corpus, mock_client, matcher):
-        chain = mine_sample(fixture_corpus.by_id("f002"), mock_client, matcher)
+    def test_record_round_trip(self, fixture_samples, mock_client, matcher):
+        chain = mine_sample(fixture_samples["f002"], mock_client, matcher)
         assert MinedChain.from_record(chain.as_record()) == chain
 
 

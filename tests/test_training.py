@@ -30,6 +30,11 @@ def corpus():
     return make_toy_corpus()
 
 
+@pytest.fixture(scope="module")
+def samples(corpus):
+    return {s.id: s for s in corpus.samples}
+
+
 def fast_grpo_config(seed=0, steps=3):
     return GrpoConfig(
         learning_rate=3.0, entropy_coef=0.01, seed=seed, steps=steps
@@ -41,15 +46,15 @@ class TestTokenization:
         tokens = toy_tokens("<answer> A </answer>")
         assert detokenize(tokens + (EOS_TOKEN,)) == "<answer> A </answer>"
 
-    def test_target_tokens_reasoning(self, corpus):
-        s = corpus.by_id("toy_r000")
+    def test_target_tokens_reasoning(self, samples):
+        s = samples["toy_r000"]
         assert target_tokens(s) == (
             "<think>", "pleural_effusion", "</think>",
             "<answer>", "A", "</answer>", EOS_TOKEN,
         )
 
-    def test_target_tokens_answer_only(self, corpus):
-        s = corpus.by_id("toy_a000")
+    def test_target_tokens_answer_only(self, samples):
+        s = samples["toy_a000"]
         assert target_tokens(s) == ("<answer>", "A", "</answer>", EOS_TOKEN)
 
     def test_vocab_covers_targets(self, corpus):
@@ -57,9 +62,9 @@ class TestTokenization:
         for s in corpus.samples:
             assert set(target_tokens(s)) <= vocab
 
-    def test_prompt_mode_by_partition(self, corpus):
-        assert prompt_mode_for(corpus.by_id("toy_r000")) is PromptMode.COT
-        assert prompt_mode_for(corpus.by_id("toy_a000")) is PromptMode.DIRECT
+    def test_prompt_mode_by_partition(self, samples):
+        assert prompt_mode_for(samples["toy_r000"]) is PromptMode.COT
+        assert prompt_mode_for(samples["toy_a000"]) is PromptMode.DIRECT
 
 
 class TestToyCorpus:
