@@ -166,14 +166,18 @@ def main(argv: list[str] | None = None) -> int:
                 print("\n".join(sorted(PRESETS)))
                 return EXIT_OK
             corpus = load_corpus(args.corpus)
-            grpo_kwargs = {**vars(toy_grpo_config()), **config.get("grpo", {})}
+            sections = {name: config.get(name, {}) for name in ("sft", "grpo")}
+            for name, section in sections.items():
+                if not isinstance(section, dict):
+                    raise ValueError(f"config: section {name!r} is not a JSON object")
+            grpo_kwargs = {**vars(toy_grpo_config()), **sections["grpo"]}
             grpo_kwargs["seed"] = args.seed
             if args.steps is not None:
                 grpo_kwargs["steps"] = args.steps
             if args.lr is not None:
                 grpo_kwargs["learning_rate"] = args.lr
             try:
-                sft_cfg = SftConfig(**config.get("sft", {}))
+                sft_cfg = SftConfig(**sections["sft"])
                 grpo_cfg = GrpoConfig(**grpo_kwargs)
             except TypeError as e:  # a key the config section does not have
                 raise ValueError(f"config: {e}") from None

@@ -158,8 +158,9 @@ def sample_from_record(rec: dict) -> VqaSample:
         task = TaskType(rec["task"])
     except ValueError:
         raise CorpusError(f"field 'task' unknown: {rec['task']!r}") from None
-    if not isinstance(rec["id"], str):
-        raise CorpusError("field 'id' must be a string")
+    for name in ("id", "question", "answer"):
+        if not isinstance(rec[name], str):
+            raise CorpusError(f"field {name!r} must be a string")
     images, options = rec["images"], rec.get("options") or []
     if not isinstance(images, list):
         raise CorpusError("field 'images' must be a list")
@@ -170,9 +171,9 @@ def sample_from_record(rec: dict) -> VqaSample:
         id=rec["id"],
         task=task,
         images=tuple(str(x) for x in images),
-        question=str(rec["question"]),
+        question=rec["question"],
         options=tuple(Option(label=str(o["label"]), text=str(o["text"])) for o in options),
-        answer=str(rec["answer"]),
+        answer=rec["answer"],
         report=str(rec.get("report") or ""),
         reasoning=str(rec.get("reasoning") or ""),
         source=str(rec.get("source") or ""),

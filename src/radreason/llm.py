@@ -134,6 +134,9 @@ class MockBackend:
         for lineno, rec, reason in read_jsonl(path, ("response",)):
             if reason:
                 raise CompletionError(f"{path}:{lineno}: {reason}")
+            for name in ("response", "key"):
+                if not isinstance(rec.get(name, ""), str):
+                    raise CompletionError(f"{path}:{lineno}: field {name!r} is not a string")
             if "key" in rec:
                 key = rec["key"]
             else:

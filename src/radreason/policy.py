@@ -3,12 +3,17 @@
 Contexts (prompt key + recent output tokens) are hashed into a fixed number
 of logit-table rows, so every objective here admits closed-form gradients
 checkable against finite differences, and output spaces stay enumerable.
+
+Sequences are read as arrays: a window table (`Windows`) gives the row of
+every context a prompt's sequences can reach, and all the sequences of a
+GRPO step are drawn, scored and differentiated together (`Tokens`), one
+token position at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import zlib
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
@@ -43,13 +48,79 @@ def _context_bucket(
     return zlib.crc32("\x1f".join(window).encode("utf-8"), prompt_crc) % n_contexts
 
 
-class TokenPath(NamedTuple):
-    """Where a token sequence reads the policy: the context row and the
-    vocabulary index of each token. It depends on the prompt and the tokens,
-    not on theta."""
+class Tokens(NamedTuple):
+    """Token sequences as arrays padded to the longest: at each position the
+    context row read and the vocabulary index taken, and whether a token is
+    there. The rows depend on the prompts and the tokens, not on theta."""
 
-    rows: tuple[int, ...]
-    idxs: tuple[int, ...]
+    rows: np.ndarray  # (N, T) intp
+    idxs: np.ndarray  # (N, T) intp
+    mask: np.ndarray  # (N, T) bool
+
+
+class Windows:
+    """The context row of every window of ≤ context_size tokens, per prompt.
+
+    A sequence's state is its last context_size tokens as base-(V+1) digits
+    (token index + 1; 0 before the first token), so `rows[p, state]` is the
+    row it reads next under prompt p and `advance` moves it on by a token.
+    That is (V+1)^context_size entries per prompt, 144 at V = 11 and
+    context_size 2: the table grows as V^context_size. It depends on the
+    prompts and on the policy's vocabulary, context_size and n_contexts, not
+    on theta, so one table serves every snapshot of a training run.
+    """
+
+    def __init__(self, policy: ToyPolicy | PolicySnapshot, prompt_keys: Sequence[str]):
+        vocab, k, n_contexts = policy.vocab, policy.context_size, policy.n_contexts
+        self.prompt_keys = tuple(prompt_keys)
+        self.layout = (vocab, k, n_contexts)
+        self.token_index = policy.token_index
+        self.base = len(vocab) + 1
+        self.span = self.base**k
+        windows = [
+            tuple(vocab[d - 1] for d in digits if d)
+            for digits in itertools.product(range(self.base), repeat=k)
+        ]
+        self.rows = np.array(
+            [
+                [_context_bucket(crc, w, k, n_contexts) for w in windows]
+                for crc in map(_prompt_crc, self.prompt_keys)
+            ],
+            dtype=np.intp,
+        ).reshape(len(self.prompt_keys), self.span)
+
+    def advance(self, state: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        return (state * self.base + idx + 1) % self.span
+
+    def encode(
+        self, outputs: Sequence[Sequence[str]], prompt_ids: np.ndarray
+    ) -> Tokens:
+        """Given token sequences, sequence s read under prompt prompt_ids[s]."""
+        n, t_max = len(outputs), max(map(len, outputs), default=0)
+        idxs = np.zeros((n, t_max), dtype=np.intp)
+        mask = np.zeros((n, t_max), dtype=bool)
+        for s, out in enumerate(outputs):
+            idxs[s, : len(out)] = [self.token_index(tok) for tok in out]
+            mask[s, : len(out)] = True
+        rows = np.empty_like(idxs)
+        state = np.zeros(n, dtype=np.intp)
+        for t in range(t_max):
+            rows[:, t] = self.rows[prompt_ids, state]
+            state = self.advance(state, idxs[:, t])
+        return Tokens(rows, idxs, mask)
+
+
+def _scatter_grad(probs: np.ndarray, tokens: Tokens, weights: np.ndarray) -> np.ndarray:
+    """sum_s weights[s] * d log p(sequence s) / d theta, in one scatter: each
+    token adds its sequence's weight at (row, index) and takes weight x the
+    row's probs off that row."""
+    n_contexts, V = probs.shape
+    rows = tokens.rows[tokens.mask]
+    w = np.broadcast_to(weights[:, None], tokens.mask.shape)[tokens.mask]
+    cells = np.bincount(
+        rows * V + tokens.idxs[tokens.mask], weights=w, minlength=n_contexts * V
+    ).reshape(n_contexts, V)
+    return cells - np.bincount(rows, weights=w, minlength=n_contexts)[:, None] * probs
 
 
 # Generator.choice(p=...) rejects rows whose sum is further than this from 1
@@ -79,6 +150,8 @@ class ToyPolicy:
             raise ValueError("vocabulary must contain the end token")
         if self.theta.shape[1] != len(self.vocab):
             raise ValueError("theta width must equal vocabulary size")
+        if self.context_size < 1:
+            raise ValueError("context_size must be >= 1")
         self._index = {tok: i for i, tok in enumerate(self.vocab)}
 
     @classmethod
@@ -128,9 +201,6 @@ class ToyPolicy:
     def log_probs_at(self, bucket: int) -> np.ndarray:
         return _log_softmax(self.theta[bucket])
 
-    def probs_at(self, bucket: int) -> np.ndarray:
-        return np.exp(self.log_probs_at(bucket))
-
     def log_prob(self, prompt_key: str, tokens: Sequence[str]) -> float:
         return self.snapshot().log_prob(prompt_key, tokens)
 
@@ -143,15 +213,6 @@ class ToyPolicy:
     def sample(self, prompt_key: str, rng: np.random.Generator) -> tuple[str, ...]:
         """Seeded ancestral sampling, terminated by the end token or max_length."""
         return self.snapshot().sample(prompt_key, rng)
-
-    def entropy_at(self, bucket: int) -> float:
-        return float(_entropy_with_grad(self.log_probs_at(bucket))[0])
-
-    def entropy_with_grad(self, bucket: int) -> tuple[float, np.ndarray]:
-        h, row = _entropy_with_grad(self.log_probs_at(bucket))
-        grad = np.zeros_like(self.theta)
-        grad[bucket] = row
-        return float(h), grad
 
 
 class PolicySnapshot:
@@ -181,7 +242,7 @@ class PolicySnapshot:
         return self
 
     @cached_property
-    def _cdf_rows(self) -> list[list[float]]:
+    def _cdf(self) -> np.ndarray:
         ok = np.all(self.probs >= 0, axis=1) & (
             np.abs(self.probs.sum(axis=1) - 1.0) <= _SUM_ATOL
         )
@@ -192,71 +253,74 @@ class PolicySnapshot:
         # the cumsum and normalisation Generator.choice(p=row) uses
         cdf = np.cumsum(self.probs, axis=1)
         cdf /= cdf[:, -1:]
-        return cdf.tolist()
+        return cdf
 
-    def path(self, prompt_key: str, tokens: Sequence[str]) -> TokenPath:
-        crc = _prompt_crc(prompt_key)
-        rows = tuple(
-            _context_bucket(crc, tokens[:t], self.context_size, self.n_contexts)
-            for t in range(len(tokens))
+    def sample_tokens(
+        self, windows: Windows, prompt_ids: np.ndarray, uniforms: np.ndarray
+    ) -> Tokens:
+        """Seeded ancestral samples, advanced together: sequence s reads the
+        rows of prompt prompt_ids[s] and takes its t-th token by inverting
+        the row CDF at uniforms[s, t]. The count of CDF entries <= u is
+        bisect_right, the draw rng.choice(V, p=row) makes. A sequence ends
+        at the end token or after uniforms.shape[1] tokens."""
+        if windows.layout != (self.vocab, self.context_size, self.n_contexts):
+            raise ValueError("window table was built for another policy layout")
+        cdf = self._cdf
+        eos = self.token_index(self.eos_token)
+        n, length = uniforms.shape
+        rows = np.zeros((n, length), dtype=np.intp)
+        idxs = np.zeros((n, length), dtype=np.intp)
+        mask = np.zeros((n, length), dtype=bool)
+        state = np.zeros(n, dtype=np.intp)
+        alive = np.ones(n, dtype=bool)
+        t = 0
+        while t < length and alive.any():
+            row = windows.rows[prompt_ids, state]
+            idx = (cdf[row] <= uniforms[:, t, None]).sum(axis=1)
+            rows[:, t], idxs[:, t], mask[:, t] = row, idx, alive
+            alive &= idx != eos
+            state = windows.advance(state, idx)
+            t += 1
+        return Tokens(rows[:, :t], idxs[:, :t], mask[:, :t])
+
+    def sequence_log_probs(self, tokens: Tokens) -> np.ndarray:
+        """Each sequence's log-prob, a running sum in token order: it equals
+        adding the token log-probs one at a time."""
+        lp = np.where(tokens.mask, self.log_probs[tokens.rows, tokens.idxs], 0.0)
+        return np.cumsum(lp, axis=1)[:, -1] if lp.shape[1] else np.zeros(len(lp))
+
+    def decode(self, tokens: Tokens) -> tuple[tuple[str, ...], ...]:
+        vocab = self.vocab
+        return tuple(
+            tuple(vocab[i] for i in row[:n])
+            for row, n in zip(tokens.idxs.tolist(), tokens.mask.sum(axis=1).tolist())
         )
-        return TokenPath(rows, tuple(map(self.token_index, tokens)))
 
-    def path_log_prob(self, path: TokenPath) -> float:
-        logp = 0.0
-        for lp in self.log_probs[path.rows, path.idxs].tolist():  # in token order
-            logp += lp
-        return logp
-
-    def path_grad(self, path: TokenPath) -> tuple[np.ndarray, np.ndarray]:
-        """The rows of theta the path's log-prob depends on, in order of first
-        visit, and its gradient in those rows; it is zero in every other row."""
-        grads: dict[int, np.ndarray] = {}
-        for b, idx in zip(path.rows, path.idxs):
-            row = grads.get(b)
-            if row is None:
-                row = grads[b] = 0.0 - self.probs[b]
-            else:
-                row -= self.probs[b]
-            row[idx] += 1.0
-        rows = np.fromiter(grads, dtype=np.intp, count=len(grads))
-        return rows, np.array(list(grads.values())).reshape(len(grads), len(self.vocab))
+    def _encode_one(self, prompt_key: str, tokens: Sequence[str]) -> Tokens:
+        return Windows(self, (prompt_key,)).encode((tokens,), np.zeros(1, dtype=np.intp))
 
     def log_prob(self, prompt_key: str, tokens: Sequence[str]) -> float:
-        return self.path_log_prob(self.path(prompt_key, tokens))
+        return float(self.sequence_log_probs(self._encode_one(prompt_key, tokens))[0])
 
     def log_prob_with_grad(
         self, prompt_key: str, tokens: Sequence[str]
     ) -> tuple[float, np.ndarray, np.ndarray]:
-        """Exact log-prob, then path_grad: the rows it depends on and its
-        gradient in them."""
-        path = self.path(prompt_key, tokens)
-        return (self.path_log_prob(path), *self.path_grad(path))
-
-    def draw(
-        self, prompt_key: str, rng: np.random.Generator
-    ) -> tuple[tuple[str, ...], float, TokenPath]:
-        """One seeded ancestral sample, its log-prob and its path. Each token
-        takes one uniform from rng and inverts the row CDF (searchsorted,
-        side right), which is the draw rng.choice(V, p=row) makes."""
-        cdf = self._cdf_rows
-        crc = _prompt_crc(prompt_key)
-        tokens: list[str] = []
-        rows: list[int] = []
-        idxs: list[int] = []
-        for _ in range(self.max_length):
-            b = _context_bucket(crc, tokens, self.context_size, self.n_contexts)
-            idx = bisect_right(cdf[b], rng.random())
-            rows.append(b)
-            idxs.append(idx)
-            tokens.append(self.vocab[idx])
-            if tokens[-1] == self.eos_token:
-                break
-        path = TokenPath(tuple(rows), tuple(idxs))
-        return tuple(tokens), self.path_log_prob(path), path
+        """Exact log-prob, the rows of theta it depends on (ascending) and its
+        gradient in them; the gradient is zero in every other row."""
+        encoded = self._encode_one(prompt_key, tokens)
+        grad = _scatter_grad(self.probs, encoded, np.ones(1))
+        rows = np.unique(encoded.rows[encoded.mask])
+        return float(self.sequence_log_probs(encoded)[0]), rows, grad[rows]
 
     def sample(self, prompt_key: str, rng: np.random.Generator) -> tuple[str, ...]:
-        return self.draw(prompt_key, rng)[0]
+        """One sample. Its uniforms are drawn at once, rng.random(max_length),
+        so rng moves on by max_length floats whatever the sample's length."""
+        encoded = self.sample_tokens(
+            Windows(self, (prompt_key,)),
+            np.zeros(1, dtype=np.intp),
+            rng.random((1, self.max_length)),
+        )
+        return self.decode(encoded)[0]
 
 
 @dataclass(frozen=True)
@@ -316,59 +380,94 @@ class GrpoConfig:
 
 @dataclass
 class GroupBatch:
-    prompt_key: str
+    """Sampled outputs in groups: one group for a prompt key, or one group
+    per prompt of a Windows table, the groups stored one after another."""
+
+    prompt_key: str | Windows
     outputs: tuple[tuple[str, ...], ...]
     logp_old: np.ndarray
     rewards: Optional[np.ndarray] = None
     advantages: Optional[np.ndarray] = None
-    # each output's path, recorded by sample_group; None makes grpo_objective
-    # hash the outputs itself
-    paths: Optional[tuple[TokenPath, ...]] = None
+    # the outputs as arrays, recorded by sample_group; None makes
+    # grpo_objective hash the outputs itself
+    tokens: Optional[Tokens] = None
 
     def __post_init__(self) -> None:
         if len(self.outputs) != len(self.logp_old):
             raise ValueError("outputs and logp_old must have equal length")
-        if self.paths is not None and len(self.paths) != len(self.outputs):
-            raise ValueError("outputs and paths must have equal length")
+        if not self.n_groups or len(self.outputs) % self.n_groups:
+            raise ValueError("outputs must split into one equal group per prompt")
+        if self.tokens is not None and len(self.tokens.rows) != len(self.outputs):
+            raise ValueError("outputs and tokens must have equal length")
+
+    @property
+    def n_groups(self) -> int:
+        if isinstance(self.prompt_key, Windows):
+            return len(self.prompt_key.prompt_keys)
+        return 1
+
+
+def _windows(policy: ToyPolicy | PolicySnapshot, prompt_key: str | Windows) -> Windows:
+    if isinstance(prompt_key, Windows):
+        return prompt_key
+    return Windows(policy, (prompt_key,))
 
 
 def sample_group(
-    policy_old: PolicySnapshot | ToyPolicy, prompt_key: str, group_size: int, seed: int
+    policy_old: PolicySnapshot | ToyPolicy,
+    prompt_key: str | Windows,
+    group_size: int,
+    seed: int | Sequence[int | tuple[int, ...]],
 ) -> GroupBatch:
-    """G independent samples from the old policy, sample i drawn with rng
-    seeded [seed, i]; a ToyPolicy is snapshotted first. Each sample's log-prob
-    under the snapshot, summed as it is drawn, goes to logp_old for the
-    importance ratio, and the context rows it visited to paths."""
+    """G independent samples from the old policy for one prompt key, or for
+    every prompt of a Windows table at once, `seed` then holding one seed
+    per prompt; a ToyPolicy is snapshotted first. Sample i of the group
+    seeded s takes its uniforms from default_rng([s, i]).random(max_length)
+    (a tuple s stands for its items), the floats that generator gives one
+    rng.random() at a time. Each sample's log-prob under the snapshot goes
+    to logp_old for the importance ratio, and its tokens to `tokens`."""
     if group_size < 2:
         raise ValueError("group_size must be >= 2")
     snap = policy_old.snapshot()
-    outputs, logp_old, paths = zip(
-        *(snap.draw(prompt_key, np.random.default_rng([seed, i])) for i in range(group_size))
+    windows = _windows(snap, prompt_key)
+    seeds = list(seed) if isinstance(prompt_key, Windows) else [seed]
+    if len(seeds) != len(windows.prompt_keys):
+        raise ValueError("sample_group needs one seed per prompt")
+    uniforms = np.empty((len(seeds) * group_size, snap.max_length))
+    for g, s in enumerate(seeds):
+        head = s if isinstance(s, tuple) else (s,)
+        for i in range(group_size):
+            uniforms[g * group_size + i] = np.random.default_rng([*head, i]).random(
+                snap.max_length
+            )
+    tokens = snap.sample_tokens(
+        windows, np.repeat(np.arange(len(seeds)), group_size), uniforms
     )
     return GroupBatch(
         prompt_key=prompt_key,
-        outputs=outputs,
-        logp_old=np.array(logp_old),
-        paths=paths,
+        outputs=snap.decode(tokens),
+        logp_old=snap.sequence_log_probs(tokens),
+        tokens=tokens,
     )
 
 
-def advantages(rewards: Sequence[float]) -> np.ndarray:
-    """Group-normalized advantages: (r - mean) / population std; an all-equal
-    group yields all zeros rather than dividing by zero.
+def advantages(rewards: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Group-normalized advantages: (r - mean) / population std over the
+    last axis, so a 2-D array holds one group per row; an all-equal group
+    yields all zeros rather than dividing by zero.
 
     The deviations are scaled to max |d| = 1 and centred again before the
     division, so groups whose spread is a few ulps, or whose variance is
     subnormal, still standardise to mean 0 and std 1."""
     r = np.asarray(rewards, dtype=float)
-    if r.size < 2:
+    if r.ndim == 0 or r.shape[-1] < 2:
         raise ValueError("advantages need a group of at least 2 rewards")
-    if r.max() == r.min():
-        return np.zeros_like(r)
-    d = r - r.mean()
-    d /= np.abs(d).max()
-    d -= d.mean()
-    return d / d.std()
+    flat = r.max(axis=-1, keepdims=True) == r.min(axis=-1, keepdims=True)
+    d = r - r.mean(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore"):  # 0/0 in all-equal groups, zeroed below
+        d /= np.abs(d).max(axis=-1, keepdims=True)
+        d -= d.mean(axis=-1, keepdims=True)
+        return np.where(flat, 0.0, d / d.std(axis=-1, keepdims=True))
 
 
 def kl_penalty(
@@ -389,55 +488,61 @@ def grpo_objective(
     batch: GroupBatch,
     cfg: GrpoConfig,
 ) -> tuple[float, np.ndarray]:
-    """Clipped-surrogate group objective with KL penalty and entropy bonus;
-    returns the value and its exact gradient in theta. It reads one snapshot
-    of `policy` (a PolicySnapshot is its own), so both are taken at the
-    theta of that snapshot; the gradient is non-zero only in the rows the
-    batch's outputs visit."""
+    """Clipped-surrogate objective with KL penalty and entropy bonus, the
+    mean over the batch's groups; returns the value and its exact gradient
+    in theta. A group's objective is the mean over its outputs, plus the
+    mean entropy of the rows that group visits. It reads one snapshot of
+    `policy` (a PolicySnapshot is its own), so both are taken at the theta
+    of that snapshot; the gradient is non-zero only in visited rows."""
     if batch.rewards is None or batch.advantages is None:
         raise ValueError("batch must have rewards and advantages filled")
     if len(batch.outputs) != len(batch.advantages):
         raise ValueError("mismatched group size")
     snap = policy.snapshot()
-    paths = batch.paths or [snap.path(batch.prompt_key, o) for o in batch.outputs]
-    G = len(batch.outputs)
+    n_groups = batch.n_groups
+    G = len(batch.outputs) // n_groups
+    tokens = batch.tokens
+    if tokens is None:
+        tokens = _windows(snap, batch.prompt_key).encode(
+            batch.outputs, np.repeat(np.arange(n_groups), G)
+        )
+    a = np.asarray(batch.advantages, dtype=float)
+    logp_old = np.asarray(batch.logp_old, dtype=float)
+    logp_new = snap.sequence_log_probs(tokens)
+    rho = np.exp(logp_new - logp_old)
     eps = cfg.clip_eps
-    value = 0.0
-    grad = np.zeros_like(snap.log_probs)
-    visited: set[int] = set()
-    for i, path in enumerate(paths):
-        a = float(batch.advantages[i])
-        logp_new = snap.path_log_prob(path)
-        rows, glogp = snap.path_grad(path)
-        visited.update(path.rows)
-        rho = float(np.exp(logp_new - batch.logp_old[i]))
-        if cfg.clip_mode == "standard":
-            unclipped = rho * a
-            clipped = float(np.clip(rho, 1 - eps, 1 + eps)) * a
-            surr = min(unclipped, clipped)
-            # gradient flows through whichever branch attains the min; the
-            # clipped branch has zero slope outside the trust region
-            if unclipped <= clipped or (1 - eps < rho < 1 + eps):
-                gsurr = a * rho * glogp
-            else:
-                gsurr = 0.0
-        else:  # literal: min over the three scalars, then times A
-            m = min(rho, 1 - eps)  # min(rho, 1-eps, 1+eps)
-            surr = m * a
-            gsurr = a * rho * glogp if rho < 1 - eps else 0.0
-        kl = kl_penalty(batch.logp_old[i], logp_new, cfg.kl_estimator)
-        if cfg.kl_estimator == "log_ratio":
-            gkl = -glogp
-        else:
-            gkl = (np.exp(logp_new - batch.logp_old[i]) - 1.0) * glogp
-        value += surr - cfg.kl_coef * kl
-        grad[rows] += gsurr - cfg.kl_coef * gkl
-    value /= G
-    grad /= G
-    if cfg.entropy_coef > 0 and visited:
-        buckets = sorted(visited)
-        h, gh = _entropy_with_grad(snap.log_probs[buckets])
-        for hb in h.tolist():
-            value += cfg.entropy_coef * hb / len(buckets)
-        grad[buckets] += cfg.entropy_coef * gh / len(buckets)
-    return float(value), grad
+    if cfg.clip_mode == "standard":
+        unclipped = rho * a
+        clipped = np.clip(rho, 1 - eps, 1 + eps) * a
+        surr = np.minimum(unclipped, clipped)
+        # gradient flows through whichever branch attains the min; the
+        # clipped branch has zero slope outside the trust region
+        active = (unclipped <= clipped) | ((1 - eps < rho) & (rho < 1 + eps))
+    else:  # literal: min over the three scalars, then times A
+        surr = np.minimum(rho, 1 - eps) * a  # min(rho, 1-eps, 1+eps)
+        active = rho < 1 - eps
+    if cfg.kl_estimator == "log_ratio":
+        kl, gkl = logp_old - logp_new, -1.0
+    else:
+        log_q = logp_new - logp_old
+        kl, gkl = np.expm1(log_q) - log_q, rho - 1.0
+    # each output's share of the step: 1/G of its group, 1/n_groups of that
+    scale = 1.0 / (G * n_groups)
+    value = float((surr - cfg.kl_coef * kl).sum()) * scale
+    weights = (np.where(active, a * rho, 0.0) - cfg.kl_coef * gkl) * scale
+    grad = _scatter_grad(snap.probs, tokens, weights)
+    if cfg.entropy_coef > 0:
+        # each group weighs the rows it visits equally
+        group = np.broadcast_to(
+            np.repeat(np.arange(n_groups), G)[:, None], tokens.mask.shape
+        )
+        visited = np.zeros((n_groups, snap.n_contexts))
+        visited[group[tokens.mask], tokens.rows[tokens.mask]] = 1.0
+        share = (visited / np.maximum(visited.sum(axis=1, keepdims=True), 1.0)).sum(
+            axis=0
+        ) / n_groups
+        rows = np.flatnonzero(share)
+        h, gh = _entropy_with_grad(snap.log_probs[rows])
+        value += cfg.entropy_coef * float(share[rows] @ h)
+        grad[rows] += cfg.entropy_coef * share[rows, None] * gh
+    return value, grad

@@ -24,10 +24,10 @@ from .core import (
 )
 from .policy import (
     GrpoConfig,
-    GroupBatch,
     PolicySnapshot,
     SftBatch,
     ToyPolicy,
+    Windows,
     advantages,
     grpo_objective,
     sample_group,
@@ -143,7 +143,7 @@ def train_sft(
 
 
 def _group_rewards(
-    batch: GroupBatch,
+    outputs: tuple[tuple[str, ...], ...],
     sample: VqaSample,
     part: PartitionTag,
     reward_cfg: RewardConfig,
@@ -151,28 +151,33 @@ def _group_rewards(
 ) -> list[RewardBreakdown]:
     return [
         total_reward(detokenize(o, eos_token), sample, part, reward_cfg)
-        for o in batch.outputs
+        for o in outputs
     ]
 
 
 def _probe_factuality(
     policy: PolicySnapshot,
+    windows: Windows,
     probe_samples: list[VqaSample],
     matcher,
     group_size: int,
     seed: int,
 ) -> Optional[float]:
     """Diagnostic mean process factuality of fresh samples on reasoning-
-    augmented prompts; measured for every preset, rewarded only by some."""
+    augmented prompts (`windows` holds their prompts); measured for every
+    preset, rewarded only by some. Sample i of probe prompt j is seeded
+    [seed, j, i]."""
     if not probe_samples:
         return None
-    values = []
-    for j, s in enumerate(probe_samples):
-        prompt = render_instruction(s, PromptMode.COT)
-        for i in range(group_size):
-            rng = np.random.default_rng([seed, j, i])
-            text = detokenize(policy.sample(prompt, rng), policy.eos_token)
-            values.append(process_reward(text, s, matcher))
+    batch = sample_group(
+        policy, windows, group_size, [(seed, j) for j in range(len(probe_samples))]
+    )
+    values = [
+        process_reward(
+            detokenize(o, policy.eos_token), probe_samples[k // group_size], matcher
+        )
+        for k, o in enumerate(batch.outputs)
+    ]
     return float(np.mean(values))
 
 
@@ -186,11 +191,12 @@ def train_grpo(
     cfg: GrpoConfig,
 ) -> tuple[ToyPolicy, list[StepStats]]:
     """Full-batch updates: every step samples one group per prompt from the
-    old policy, then applies one averaged optimizer step. The old policy is
-    a snapshot taken after each update: it serves that step's KL estimate
-    and probe, then the next step's sampling and objective (theta does not
-    change within a step, so it is also the live policy there). Fully
-    deterministic given (corpus, config, seed)."""
+    old policy, all groups together, then applies one optimizer step along
+    the mean of the group objectives. The old policy is a snapshot taken
+    after each update: it serves that step's KL estimate and probe, then
+    the next step's sampling and objective (theta does not change within a
+    step, so it is also the live policy there). Fully deterministic given
+    (corpus, config, seed)."""
     if len(corpus) == 0:
         raise PresetError("grpo stage: empty corpus")
     samples = sorted(corpus.samples, key=lambda s: s.id)
@@ -198,33 +204,38 @@ def train_grpo(
         s for s in samples if s.partition is PartitionTag.REASONING_AUGMENTED
     ]
     policy = policy.copy()
+    # the rows every prompt can read: they do not depend on theta, so the
+    # tables serve the whole run
+    windows = Windows(
+        policy, [render_instruction(s, prompt_mode_for(s)) for s in samples]
+    )
+    probe_windows = Windows(
+        policy, [render_instruction(s, PromptMode.COT) for s in probe_samples]
+    )
+    G = cfg.group_size
     policy_old = policy.snapshot()
     stats = []
     for step in range(cfg.steps):
-        grad = np.zeros_like(policy.theta)
-        all_breakdowns = []
-        all_rewards = []
-        batches = []
-        for j, sample in enumerate(samples):
-            part = sample.partition
-            prompt = render_instruction(sample, prompt_mode_for(sample))
-            batch = sample_group(
-                policy_old,
-                prompt,
-                cfg.group_size,
-                seed=cfg.seed * 1_000_003 + step * 1_009 + j,
+        batch = sample_group(
+            policy_old,
+            windows,
+            G,
+            [cfg.seed * 1_000_003 + step * 1_009 + j for j in range(len(samples))],
+        )
+        groups = [
+            _group_rewards(
+                batch.outputs[j * G : (j + 1) * G],
+                sample,
+                sample.partition,
+                reward_cfg,
+                policy.eos_token,
             )
-            breakdowns = _group_rewards(
-                batch, sample, part, reward_cfg, policy.eos_token
-            )
-            batch.rewards = np.array([b.total for b in breakdowns])
-            batch.advantages = advantages(batch.rewards)
-            _, g = grpo_objective(policy_old, batch, cfg)
-            grad += g
-            all_breakdowns.extend(breakdowns)
-            all_rewards.append(batch.rewards)
-            batches.append(batch)
-        grad /= len(samples)
+            for j, sample in enumerate(samples)
+        ]
+        rewards = np.array([[b.total for b in group] for group in groups])
+        batch.rewards = rewards.ravel()
+        batch.advantages = advantages(rewards).ravel()
+        _, grad = grpo_objective(policy_old, batch, cfg)
         policy.theta = policy.theta + cfg.learning_rate * grad
         # the updated policy, frozen: the probe and the KL estimate read it
         # now, and the next step samples from it as its old policy
@@ -234,28 +245,26 @@ def train_grpo(
         if step == 0 or step == cfg.steps - 1 or (step + 1) % PROBE_EVERY == 0:
             probe = _probe_factuality(
                 policy_old,
+                probe_windows,
                 probe_samples,
                 reward_cfg.matcher,
-                cfg.group_size,
+                G,
                 seed=cfg.seed * 7_368_787 + step,
             )
-        kl_new = [
-            b.logp_old[i] - policy_old.path_log_prob(path)
-            for b in batches
-            for i, path in enumerate(b.paths)
-        ]
+        kl_new = batch.logp_old - policy_old.sequence_log_probs(batch.tokens)
+        breakdowns = [b for group in groups for b in group]
         stats.append(
             StepStats(
                 step=step,
                 stage="grpo",
-                mean_reward=float(np.concatenate(all_rewards).mean()),
-                mean_format=float(np.mean([b.format for b in all_breakdowns])),
-                mean_outcome=float(np.mean([b.outcome for b in all_breakdowns])),
-                mean_process=float(np.mean([b.process for b in all_breakdowns])),
+                mean_reward=float(batch.rewards.mean()),
+                mean_format=float(np.mean([b.format for b in breakdowns])),
+                mean_outcome=float(np.mean([b.outcome for b in breakdowns])),
+                mean_process=float(np.mean([b.process for b in breakdowns])),
                 mean_kl=float(np.mean(kl_new)),
                 process_factuality=probe,
                 zero_advantage_share=float(
-                    np.mean([r.max() == r.min() for r in all_rewards])
+                    (rewards.max(axis=1) == rewards.min(axis=1)).mean()
                 ),
             )
         )

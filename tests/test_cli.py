@@ -247,6 +247,8 @@ _ARGV = {
     "records": ["eval", "{bad}"],
     "fixture": ["--config", "{config}", "mine", "{corpus}", "--out", "{out}"],
     "config": ["--config", "{bad}", "eval", "{bad}"],
+    "train-config": ["--config", "{bad}", "train-toy", "{corpus}", "--preset", "full",
+                     "--out", "{out}"],
 }
 _SAMPLE = {"id": "s", "task": "binary_diagnosis", "images": ["x.png"], "question": "q",
            "options": [{"label": "A", "text": "yes"}], "answer": "A"}
@@ -281,7 +283,19 @@ _MALFORMED = [
     pytest.param("corpus", json.dumps({**_SAMPLE, "options": ["A"]}).encode(),
                  "field 'options' must be a list of {label, text} objects",
                  id="corpus-options"),
+    pytest.param("corpus", json.dumps({**_SAMPLE, "question": None}).encode(),
+                 "field 'question' must be a string", id="corpus-null-question"),
+    pytest.param("corpus", json.dumps({**_SAMPLE, "answer": None}).encode(),
+                 "field 'answer' must be a string", id="corpus-null-answer"),
+    pytest.param("fixture", b'{"key": "k", "response": 5}', "field 'response' is not a string",
+                 id="fixture-non-string-response"),
+    pytest.param("fixture", b'{"key": 5, "response": "r"}', "field 'key' is not a string",
+                 id="fixture-non-string-key"),
     pytest.param("config", b"[1]", "not a JSON object", id="config-array"),
+    pytest.param("train-config", b'{"grpo": [1]}',
+                 "config: section 'grpo' is not a JSON object", id="train-config-grpo"),
+    pytest.param("train-config", b'{"sft": 5}',
+                 "config: section 'sft' is not a JSON object", id="train-config-sft"),
 ]
 
 
@@ -301,5 +315,7 @@ def test_malformed_input_located(tmp_path, data_dir, capsys, kind, line, reason)
         }
     elif kind == "config":
         assert rc == 1 and err == f"error: cannot read config: {bad}: {reason}\n"
+    elif kind == "train-config":
+        assert rc == 1 and err == f"error: {reason}\n"
     else:
         assert rc == 1 and err == f"error: {bad}:2: {reason}\n"

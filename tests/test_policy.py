@@ -11,11 +11,13 @@ from radreason.policy import (
     GrpoConfig,
     SftBatch,
     ToyPolicy,
+    Windows,
     advantages,
     grpo_objective,
     kl_penalty,
     sample_group,
     sft_loss,
+    _entropy_with_grad,
 )
 
 VOCAB = ("a", "b", "c", "<eos>")
@@ -55,6 +57,11 @@ class TestToyPolicy:
         with pytest.raises(ValueError, match="end token"):
             ToyPolicy.uniform(("a", "b"))
 
+    def test_context_size_must_be_positive(self):
+        # a window of 0 tokens would be the whole prefix to `bucket`
+        with pytest.raises(ValueError, match="context_size"):
+            ToyPolicy.uniform(VOCAB, context_size=0)
+
     def test_log_prob_is_sum_of_steps(self):
         policy = random_policy(np.random.default_rng(1))
         tokens = ("a", "b", "<eos>")
@@ -82,7 +89,7 @@ class TestToyPolicy:
     def test_first_token_frequencies_match_probs(self):
         policy = random_policy(np.random.default_rng(4))
         b = policy.bucket("p", ())
-        probs = policy.probs_at(b)
+        probs = policy.snapshot().probs[b]
         rng = np.random.default_rng(7)
         n = 4000
         counts = np.zeros(len(VOCAB))
@@ -95,8 +102,12 @@ class TestToyPolicy:
 
     def test_entropy_gradient_matches_fd(self):
         policy = random_policy(np.random.default_rng(5))
-        h, grad = policy.entropy_with_grad(3)
-        fd = finite_difference(lambda: policy.entropy_at(3), policy.theta)
+        _, row = _entropy_with_grad(policy.log_probs_at(3))
+        grad = np.zeros_like(policy.theta)
+        grad[3] = row
+        fd = finite_difference(
+            lambda: float(_entropy_with_grad(policy.log_probs_at(3))[0]), policy.theta
+        )
         assert np.max(np.abs(grad - fd)) < 1e-7
 
 
@@ -257,6 +268,20 @@ class TestAdvantages:
     def test_all_equal_yields_zeros(self):
         assert np.all(advantages([0.5, 0.5, 0.5]) == 0)
 
+    @given(
+        st.lists(
+            st.lists(st.sampled_from([0.0, 0.1, 1.0, 2.5, 3.0]), min_size=4, max_size=4),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_rows_equal_one_group_calls(self, groups):
+        # a step standardises every group at once; each row must be the
+        # group's own result bit for bit
+        rows = advantages(np.array(groups))
+        for row, group in zip(rows, groups):
+            assert row.tolist() == advantages(group).tolist()
+
     @pytest.mark.parametrize(
         "rewards, expected",
         [
@@ -281,7 +306,7 @@ class TestKl:
         old = random_policy(rng, max_length=1)
         new = random_policy(rng, max_length=1)
         b = old.bucket("p", ())
-        p_old = old.probs_at(b)
+        p_old = old.snapshot().probs[b]
         expected = 0.0
         for tok in VOCAB:
             lp_o = old.log_prob("p", (tok,))
@@ -395,3 +420,133 @@ class TestGrpoObjective:
         )
         assert abs(v_std - 1.2) < 1e-12
         assert abs(v_lit - 0.8) < 1e-12
+
+
+def make_step(seed, prompts=("p", "q", "r"), group_size=3):
+    """A batch of one group per prompt, drawn together, with rewards."""
+    rng = np.random.default_rng(seed)
+    policy_old = random_policy(rng)
+    policy = random_policy(rng, scale=0.3)
+    windows = Windows(policy_old, prompts)
+    seeds = [seed * 10 + j for j in range(len(prompts))]
+    batch = sample_group(policy_old, windows, group_size, seeds)
+    rewards = rng.uniform(0, 3, size=(len(prompts), group_size))
+    batch.rewards = rewards.ravel()
+    batch.advantages = np.concatenate([advantages(r) for r in rewards])
+    return policy, batch
+
+
+class TestLockstepStep:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        vocab_size=st.integers(1, 30),
+        n_contexts=st.integers(1, 32),  # few rows: contexts collide
+        scale=st.floats(0.0, 40.0),
+        max_length=st.integers(1, 10),
+        prompts=st.lists(st.text(max_size=12), min_size=1, max_size=4),
+        group_size=st.integers(2, 4),
+    )
+    def test_every_sequence_matches_reference(
+        self, seed, vocab_size, n_contexts, scale, max_length, prompts, group_size
+    ):
+        vocab = tuple(f"t{i}" for i in range(vocab_size)) + ("<eos>",)
+        policy = random_policy(
+            np.random.default_rng(seed), n_contexts, vocab, scale, max_length
+        )
+        seeds = [(seed + j) % 2**32 for j in range(len(prompts))]
+        batch = sample_group(policy, Windows(policy, prompts), group_size, seeds)
+        assert len(batch.outputs) == len(prompts) * group_size
+        for s, (out, lp) in enumerate(zip(batch.outputs, batch.logp_old)):
+            j, i = divmod(s, group_size)
+            rng = np.random.default_rng([seeds[j], i])
+            assert out == reference_sample(policy, prompts[j], rng)
+            assert lp == reference_log_prob(policy, prompts[j], out)
+
+    def test_one_prompt_table_equals_prompt_key(self):
+        policy = random_policy(np.random.default_rng(12))
+        by_key = sample_group(policy, "p", 4, seed=9)
+        by_table = sample_group(policy, Windows(policy, ["p"]), 4, [9])
+        assert by_key.outputs == by_table.outputs
+        assert np.array_equal(by_key.logp_old, by_table.logp_old)
+
+    @pytest.mark.parametrize("clip_mode", ["standard", "literal"])
+    @pytest.mark.parametrize("kl_estimator", ["log_ratio", "k3"])
+    def test_step_gradient_matches_fd(self, clip_mode, kl_estimator):
+        policy, batch = make_step(13)
+        cfg = GrpoConfig(
+            group_size=3,
+            clip_mode=clip_mode,
+            kl_estimator=kl_estimator,
+            kl_coef=0.01,
+            entropy_coef=0.01,
+        )
+        _, grad = grpo_objective(policy, batch, cfg)
+        fd = finite_difference(
+            lambda: grpo_objective(policy, batch, cfg)[0], policy.theta
+        )
+        assert np.max(np.abs(grad - fd)) < 1e-6
+
+    @pytest.mark.parametrize("clip_mode", ["standard", "literal"])
+    @pytest.mark.parametrize("kl_estimator", ["log_ratio", "k3"])
+    def test_step_is_mean_of_one_group_objectives(self, clip_mode, kl_estimator):
+        policy, batch = make_step(14)
+        cfg = GrpoConfig(
+            group_size=3,
+            clip_mode=clip_mode,
+            kl_estimator=kl_estimator,
+            kl_coef=0.01,
+            entropy_coef=0.01,
+        )
+        value, grad = grpo_objective(policy, batch, cfg)
+        G = 3
+        groups = [
+            grpo_objective(
+                policy,
+                GroupBatch(
+                    prompt_key=prompt,
+                    outputs=batch.outputs[j * G : (j + 1) * G],
+                    logp_old=batch.logp_old[j * G : (j + 1) * G],
+                    rewards=batch.rewards[j * G : (j + 1) * G],
+                    advantages=batch.advantages[j * G : (j + 1) * G],
+                ),
+                cfg,
+            )
+            for j, prompt in enumerate(batch.prompt_key.prompt_keys)
+        ]
+        assert abs(value - np.mean([v for v, _ in groups])) < 1e-12
+        assert np.max(np.abs(grad - np.mean([g for _, g in groups], axis=0))) < 1e-12
+
+    def test_entropy_weights_rows_per_group(self):
+        # "p" visits rows {0, 1, 2} and "q" rows {1, 2}: each group spreads
+        # its bonus evenly over its own rows, so shared rows get both shares
+        policy = random_policy(np.random.default_rng(15), n_contexts=4)
+        groups = {
+            "p": (("a", "<eos>"), ("b", "a", "<eos>")),
+            "q": (("a", "b", "<eos>"), ("c",)),
+        }
+        visited = {
+            k: {policy.bucket(k, o[:t]) for o in outs for t in range(len(o))}
+            for k, outs in groups.items()
+        }
+        assert visited == {"p": {0, 1, 2}, "q": {1, 2}}
+        snap = policy.snapshot()
+        outputs = groups["p"] + groups["q"]
+        batch = GroupBatch(
+            prompt_key=Windows(policy, tuple(groups)),
+            outputs=outputs,
+            logp_old=np.array([snap.log_prob(k, o) for k in groups for o in groups[k]]),
+            rewards=np.zeros(4),
+            advantages=np.zeros(4),
+        )
+        cfg = GrpoConfig(group_size=2, kl_coef=0.0, entropy_coef=0.5)
+        value, grad = grpo_objective(policy, batch, cfg)
+        expected_value, expected = 0.0, np.zeros_like(policy.theta)
+        for rows in visited.values():
+            for b in rows:
+                h, gh = _entropy_with_grad(policy.log_probs_at(b))
+                expected_value += 0.5 * float(h) / len(rows) / 2
+                expected[b] += 0.5 * gh / len(rows) / 2
+        assert abs(value - expected_value) < 1e-12
+        assert np.max(np.abs(grad - expected)) < 1e-12
+        assert not grad[3].any()
