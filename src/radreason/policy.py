@@ -5,14 +5,13 @@ of logit-table rows, so every objective here admits closed-form gradients
 checkable against finite differences, and output spaces stay enumerable.
 
 Sequences are read as arrays: a window table (`Windows`) gives the row of
-every context a prompt's sequences can reach, and all the sequences of a
-GRPO step are drawn, scored and differentiated together (`Tokens`), one
-token position at a time.
+each context the prompts' sequences reach, hashed once, and all the
+sequences of a GRPO step are drawn, scored and differentiated together
+(`Tokens`), one token position at a time.
 """
 
 from __future__ import annotations
 
-import itertools
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -59,38 +58,50 @@ class Tokens(NamedTuple):
 
 
 class Windows:
-    """The context row of every window of ≤ context_size tokens, per prompt.
+    """The context rows a set of prompts' sequences read, hashed as reached.
 
     A sequence's state is its last context_size tokens as base-(V+1) digits
-    (token index + 1; 0 before the first token), so `rows[p, state]` is the
-    row it reads next under prompt p and `advance` moves it on by a token.
-    That is (V+1)^context_size entries per prompt, 144 at V = 11 and
-    context_size 2: the table grows as V^context_size. It depends on the
-    prompts and on the policy's vocabulary, context_size and n_contexts, not
-    on theta, so one table serves every snapshot of a training run.
+    (token index + 1; 0 before the first token), so `advance` moves it on by
+    a token and `rows_at` gives the row each sequence reads next. A row is
+    hashed the first time its (prompt, window) pair is reached and then
+    memoised, so a table costs what its sequences visit, not V^context_size
+    per prompt. The rows depend on the prompts and on the policy's
+    vocabulary, context_size and n_contexts, not on theta, so one table
+    serves every snapshot of a training run.
     """
 
     def __init__(self, policy: ToyPolicy | PolicySnapshot, prompt_keys: Sequence[str]):
-        vocab, k, n_contexts = policy.vocab, policy.context_size, policy.n_contexts
         self.prompt_keys = tuple(prompt_keys)
-        self.layout = (vocab, k, n_contexts)
+        self.layout = (policy.vocab, policy.context_size, policy.n_contexts)
         self.token_index = policy.token_index
-        self.base = len(vocab) + 1
-        self.span = self.base**k
-        windows = [
-            tuple(vocab[d - 1] for d in digits if d)
-            for digits in itertools.product(range(self.base), repeat=k)
-        ]
-        self.rows = np.array(
-            [
-                [_context_bucket(crc, w, k, n_contexts) for w in windows]
-                for crc in map(_prompt_crc, self.prompt_keys)
-            ],
-            dtype=np.intp,
-        ).reshape(len(self.prompt_keys), self.span)
+        self.base = len(policy.vocab) + 1
+        self.span = self.base**policy.context_size
+        # states, and the memo keys state * n_prompts + prompt, stay in intp
+        if self.span * self.base * max(len(self.prompt_keys), 1) > np.iinfo(np.intp).max:
+            raise ValueError("too many windows to index: vocabulary or context_size")
+        self._crcs = [_prompt_crc(key) for key in self.prompt_keys]
+        self._memo: dict[int, int] = {}  # row by key state * n_prompts + prompt
 
     def advance(self, state: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return (state * self.base + idx + 1) % self.span
+
+    def _hash(self, key: int) -> int:
+        state, prompt_id = divmod(key, len(self._crcs))
+        vocab, k, n_contexts = self.layout
+        window = []
+        for _ in range(k):
+            state, digit = divmod(state, self.base)
+            if digit:
+                window.append(vocab[digit - 1])
+        return _context_bucket(self._crcs[prompt_id], window[::-1], k, n_contexts)
+
+    def rows_at(self, prompt_ids: np.ndarray, state: np.ndarray) -> np.ndarray:
+        """The row sequence s reads next, at state[s] under prompt prompt_ids[s]."""
+        memo = self._memo
+        keys = (state * len(self._crcs) + prompt_ids).tolist()
+        for key in set(keys).difference(memo):
+            memo[key] = self._hash(key)
+        return np.fromiter(map(memo.__getitem__, keys), np.intp, len(keys))
 
     def encode(
         self, outputs: Sequence[Sequence[str]], prompt_ids: np.ndarray
@@ -102,10 +113,11 @@ class Windows:
         for s, out in enumerate(outputs):
             idxs[s, : len(out)] = [self.token_index(tok) for tok in out]
             mask[s, : len(out)] = True
-        rows = np.empty_like(idxs)
+        rows = np.zeros_like(idxs)
         state = np.zeros(n, dtype=np.intp)
         for t in range(t_max):
-            rows[:, t] = self.rows[prompt_ids, state]
+            live = mask[:, t]
+            rows[live, t] = self.rows_at(prompt_ids[live], state[live])
             state = self.advance(state, idxs[:, t])
         return Tokens(rows, idxs, mask)
 
@@ -275,7 +287,9 @@ class PolicySnapshot:
         alive = np.ones(n, dtype=bool)
         t = 0
         while t < length and alive.any():
-            row = windows.rows[prompt_ids, state]
+            # ended sequences read no row: their draws are masked out
+            row = np.zeros(n, dtype=np.intp)
+            row[alive] = windows.rows_at(prompt_ids[alive], state[alive])
             idx = (cdf[row] <= uniforms[:, t, None]).sum(axis=1)
             rows[:, t], idxs[:, t], mask[:, t] = row, idx, alive
             alive &= idx != eos
@@ -380,10 +394,10 @@ class GrpoConfig:
 
 @dataclass
 class GroupBatch:
-    """Sampled outputs in groups: one group for a prompt key, or one group
-    per prompt of a Windows table, the groups stored one after another."""
+    """Sampled outputs in groups, one group per prompt of `windows`, the
+    groups stored one after another."""
 
-    prompt_key: str | Windows
+    windows: Windows
     outputs: tuple[tuple[str, ...], ...]
     logp_old: np.ndarray
     rewards: Optional[np.ndarray] = None
@@ -395,42 +409,34 @@ class GroupBatch:
     def __post_init__(self) -> None:
         if len(self.outputs) != len(self.logp_old):
             raise ValueError("outputs and logp_old must have equal length")
-        if not self.n_groups or len(self.outputs) % self.n_groups:
+        n_groups = len(self.windows.prompt_keys)
+        if not n_groups or len(self.outputs) % n_groups:
             raise ValueError("outputs must split into one equal group per prompt")
         if self.tokens is not None and len(self.tokens.rows) != len(self.outputs):
             raise ValueError("outputs and tokens must have equal length")
 
-    @property
-    def n_groups(self) -> int:
-        if isinstance(self.prompt_key, Windows):
-            return len(self.prompt_key.prompt_keys)
-        return 1
-
-
-def _windows(policy: ToyPolicy | PolicySnapshot, prompt_key: str | Windows) -> Windows:
-    if isinstance(prompt_key, Windows):
-        return prompt_key
-    return Windows(policy, (prompt_key,))
-
 
 def sample_group(
     policy_old: PolicySnapshot | ToyPolicy,
-    prompt_key: str | Windows,
+    prompts: str | Windows,
     group_size: int,
     seed: int | Sequence[int | tuple[int, ...]],
 ) -> GroupBatch:
-    """G independent samples from the old policy for one prompt key, or for
-    every prompt of a Windows table at once, `seed` then holding one seed
-    per prompt; a ToyPolicy is snapshotted first. Sample i of the group
-    seeded s takes its uniforms from default_rng([s, i]).random(max_length)
-    (a tuple s stands for its items), the floats that generator gives one
-    rng.random() at a time. Each sample's log-prob under the snapshot goes
-    to logp_old for the importance ratio, and its tokens to `tokens`."""
+    """G independent samples from the old policy for every prompt of a
+    Windows table at once, `seed` holding one seed per prompt; a prompt key
+    and one seed are a one-prompt table. A ToyPolicy is snapshotted first.
+    Sample i of the group seeded s takes its uniforms from
+    default_rng([s, i]).random(max_length) (a tuple s stands for its items),
+    the floats that generator gives one rng.random() at a time. Each
+    sample's log-prob under the snapshot goes to logp_old for the importance
+    ratio, and its tokens to `tokens`."""
     if group_size < 2:
         raise ValueError("group_size must be >= 2")
     snap = policy_old.snapshot()
-    windows = _windows(snap, prompt_key)
-    seeds = list(seed) if isinstance(prompt_key, Windows) else [seed]
+    windows = prompts
+    if isinstance(prompts, str):  # one group
+        windows, seed = Windows(snap, (prompts,)), [seed]
+    seeds = list(seed)
     if len(seeds) != len(windows.prompt_keys):
         raise ValueError("sample_group needs one seed per prompt")
     uniforms = np.empty((len(seeds) * group_size, snap.max_length))
@@ -444,7 +450,7 @@ def sample_group(
         windows, np.repeat(np.arange(len(seeds)), group_size), uniforms
     )
     return GroupBatch(
-        prompt_key=prompt_key,
+        windows=windows,
         outputs=snap.decode(tokens),
         logp_old=snap.sequence_log_probs(tokens),
         tokens=tokens,
@@ -471,15 +477,18 @@ def advantages(rewards: Sequence[float] | np.ndarray) -> np.ndarray:
 
 
 def kl_penalty(
-    logp_old: float, logp_new: float, estimator: str = "log_ratio"
-) -> float:
-    """Single-sample KL(old || new) estimator. The default is the plain log
-    ratio; "k3" selects the non-negative variant q - 1 - log q."""
+    logp_old: float | np.ndarray,
+    logp_new: float | np.ndarray,
+    estimator: str = "log_ratio",
+) -> float | np.ndarray:
+    """Single-sample KL(old || new) estimator, elementwise over arrays. The
+    default is the plain log ratio; "k3" selects the non-negative variant
+    q - 1 - log q."""
     if estimator == "log_ratio":
         return logp_old - logp_new
     if estimator == "k3":
         log_q = logp_new - logp_old
-        return float(np.expm1(log_q) - log_q)
+        return np.expm1(log_q) - log_q
     raise ValueError(f"unknown kl estimator {estimator!r}")
 
 
@@ -499,11 +508,11 @@ def grpo_objective(
     if len(batch.outputs) != len(batch.advantages):
         raise ValueError("mismatched group size")
     snap = policy.snapshot()
-    n_groups = batch.n_groups
+    n_groups = len(batch.windows.prompt_keys)
     G = len(batch.outputs) // n_groups
     tokens = batch.tokens
     if tokens is None:
-        tokens = _windows(snap, batch.prompt_key).encode(
+        tokens = batch.windows.encode(
             batch.outputs, np.repeat(np.arange(n_groups), G)
         )
     a = np.asarray(batch.advantages, dtype=float)
@@ -521,11 +530,9 @@ def grpo_objective(
     else:  # literal: min over the three scalars, then times A
         surr = np.minimum(rho, 1 - eps) * a  # min(rho, 1-eps, 1+eps)
         active = rho < 1 - eps
-    if cfg.kl_estimator == "log_ratio":
-        kl, gkl = logp_old - logp_new, -1.0
-    else:
-        log_q = logp_new - logp_old
-        kl, gkl = np.expm1(log_q) - log_q, rho - 1.0
+    kl = kl_penalty(logp_old, logp_new, cfg.kl_estimator)
+    # d kl / d logp_new: -1 for the log ratio, q - 1 for k3
+    gkl = -1.0 if cfg.kl_estimator == "log_ratio" else rho - 1.0
     # each output's share of the step: 1/G of its group, 1/n_groups of that
     scale = 1.0 / (G * n_groups)
     value = float((surr - cfg.kl_coef * kl).sum()) * scale

@@ -30,6 +30,7 @@ from .policy import (
     Windows,
     advantages,
     grpo_objective,
+    kl_penalty,
     sample_group,
     sft_loss,
 )
@@ -251,7 +252,7 @@ def train_grpo(
                 G,
                 seed=cfg.seed * 7_368_787 + step,
             )
-        kl_new = batch.logp_old - policy_old.sequence_log_probs(batch.tokens)
+        kl_new = kl_penalty(batch.logp_old, policy_old.sequence_log_probs(batch.tokens))
         breakdowns = [b for group in groups for b in group]
         stats.append(
             StepStats(

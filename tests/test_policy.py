@@ -324,6 +324,25 @@ class TestKl:
         with pytest.raises(ValueError):
             kl_penalty(0.0, 0.0, "k7")
 
+    @pytest.mark.parametrize("estimator", ["log_ratio", "k3"])
+    def test_objective_penalises_with_the_estimator(self, estimator):
+        # zero advantages and no entropy bonus: the objective is minus the
+        # mean KL estimate of the batch, elementwise over its outputs
+        policy, batch = make_step(16)
+        batch.advantages = np.zeros(len(batch.outputs))
+        cfg = GrpoConfig(group_size=3, kl_coef=1.0, entropy_coef=0.0,
+                         kl_estimator=estimator)
+        value, _ = grpo_objective(policy, batch, cfg)
+        logp_new = [
+            policy.log_prob(batch.windows.prompt_keys[s // 3], out)
+            for s, out in enumerate(batch.outputs)
+        ]
+        kl = kl_penalty(batch.logp_old, np.array(logp_new), estimator)
+        assert kl.shape == batch.logp_old.shape
+        for lo, ln, k in zip(batch.logp_old, logp_new, kl):
+            assert k == kl_penalty(float(lo), ln, estimator)
+        assert abs(value + kl.mean()) < 1e-12
+
 
 class TestGrpoConfig:
     @pytest.mark.parametrize(
@@ -355,7 +374,7 @@ def make_group(seed, group_size=4):
 class TestGrpoObjective:
     def test_requires_filled_batch(self):
         policy, policy_old, batch = make_group(0)
-        empty = GroupBatch(batch.prompt_key, batch.outputs, batch.logp_old)
+        empty = GroupBatch(batch.windows, batch.outputs, batch.logp_old)
         with pytest.raises(ValueError, match="rewards"):
             grpo_objective(policy, empty, GrpoConfig())
 
@@ -404,7 +423,7 @@ class TestGrpoObjective:
             b = policy.bucket("p", output[:t])
             policy.theta[b, policy.token_index(output[t])] += 5.0
         batch = GroupBatch(
-            prompt_key="p",
+            windows=Windows(policy, ["p"]),
             outputs=(output,),
             logp_old=np.array([policy_old.log_prob("p", output)]),
             rewards=np.array([1.0]),
@@ -463,6 +482,23 @@ class TestLockstepStep:
             assert out == reference_sample(policy, prompts[j], rng)
             assert lp == reference_log_prob(policy, prompts[j], out)
 
+    def test_table_hashes_only_the_windows_reached(self):
+        # 100,000 tokens: (V+1)^2 = 10^10 windows a prompt, of which a
+        # group reaches at most one per token it draws
+        vocab = tuple(f"t{i}" for i in range(99_999)) + ("<eos>",)
+        policy = random_policy(np.random.default_rng(17), 4, vocab, max_length=6)
+        windows = Windows(policy, ["p", "q"])
+        batch = sample_group(policy, windows, 3, [1, 2])
+        assert len(windows._memo) <= batch.tokens.mask.sum()
+        for s, out in enumerate(batch.outputs):
+            prompt = windows.prompt_keys[s // 3]
+            assert batch.logp_old[s] == reference_log_prob(policy, prompt, out)
+
+    def test_table_refuses_windows_past_intp(self):
+        policy = ToyPolicy.uniform(VOCAB, context_size=40)
+        with pytest.raises(ValueError, match="too many windows"):
+            Windows(policy, ["p"])
+
     def test_one_prompt_table_equals_prompt_key(self):
         policy = random_policy(np.random.default_rng(12))
         by_key = sample_group(policy, "p", 4, seed=9)
@@ -504,7 +540,7 @@ class TestLockstepStep:
             grpo_objective(
                 policy,
                 GroupBatch(
-                    prompt_key=prompt,
+                    windows=Windows(policy, [prompt]),
                     outputs=batch.outputs[j * G : (j + 1) * G],
                     logp_old=batch.logp_old[j * G : (j + 1) * G],
                     rewards=batch.rewards[j * G : (j + 1) * G],
@@ -512,7 +548,7 @@ class TestLockstepStep:
                 ),
                 cfg,
             )
-            for j, prompt in enumerate(batch.prompt_key.prompt_keys)
+            for j, prompt in enumerate(batch.windows.prompt_keys)
         ]
         assert abs(value - np.mean([v for v, _ in groups])) < 1e-12
         assert np.max(np.abs(grad - np.mean([g for _, g in groups], axis=0))) < 1e-12
@@ -533,7 +569,7 @@ class TestLockstepStep:
         snap = policy.snapshot()
         outputs = groups["p"] + groups["q"]
         batch = GroupBatch(
-            prompt_key=Windows(policy, tuple(groups)),
+            windows=Windows(policy, tuple(groups)),
             outputs=outputs,
             logp_old=np.array([snap.log_prob(k, o) for k in groups for o in groups[k]]),
             rewards=np.zeros(4),
