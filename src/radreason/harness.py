@@ -38,6 +38,9 @@ EXIT_OK = 0
 EXIT_FATAL = 1
 EXIT_SAMPLE_ERRORS = 2
 
+# most resample indices bootstrap_ci draws at once (32 MB of int64)
+_INDEX_CHUNK = 2**22
+
 
 def bootstrap_ci(
     values: Sequence[float] | np.ndarray,
@@ -49,19 +52,26 @@ def bootstrap_ci(
 
     `values` is one sample of n values, or an (n, k) table whose k columns
     are samples over the same n rows; a table gets one interval per column,
-    all from one draw of resampled rows.
+    all from one draw of resampled rows. The (resamples, n) index is drawn
+    in row chunks of at most _INDEX_CHUNK entries, the stream one draw of
+    the whole matrix gives.
     """
     table = np.asarray(values, dtype=float)
     if table.size == 0:
         raise ValueError("bootstrap_ci requires non-empty values")
     n = table.shape[0]
+    cols = table.reshape(n, -1).T
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=(resamples, n))
+    means = np.empty((len(cols), resamples))
+    chunk = max(1, _INDEX_CHUNK // n)
+    for start in range(0, resamples, chunk):
+        idx = rng.integers(0, n, size=(min(chunk, resamples - start), n))
+        for k, col in enumerate(cols):
+            means[k, start : start + len(idx)] = col[idx].mean(axis=1)
     alpha = (1.0 - level) / 2.0
     intervals = []
-    for col in table.reshape(n, -1).T:
-        means = col[idx].mean(axis=1)
-        low, high = np.quantile(means, [alpha, 1.0 - alpha])
+    for col_means in means:
+        low, high = np.quantile(col_means, [alpha, 1.0 - alpha])
         intervals.append((float(low), float(high)))
     return intervals if table.ndim > 1 else intervals[0]
 

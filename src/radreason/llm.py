@@ -93,12 +93,14 @@ def render_template(name: str, **fields: str) -> CompletionRequest:
 # cache: one file per idempotency key
 
 class ResponseCache:
-    """Content-addressed response cache; concurrent readers, serialized writes."""
+    """Content-addressed response cache; concurrent readers and writers, in
+    any number of threads and processes. A writer writes its own temp file
+    and renames it over the entry, so an entry always holds one whole
+    response."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._write_lock = threading.Lock()
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.txt"
@@ -110,10 +112,9 @@ class ResponseCache:
         return None
 
     def put(self, key: str, response: str) -> None:
-        with self._write_lock:
-            tmp = self._path(key).with_suffix(".tmp")
-            tmp.write_text(response, encoding="utf-8")
-            tmp.replace(self._path(key))
+        tmp = self.directory / f"{key}.{os.getpid()}.{threading.get_ident()}.tmp"
+        tmp.write_text(response, encoding="utf-8")
+        tmp.replace(self._path(key))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ checkable against finite differences, and output spaces stay enumerable.
 Sequences are read as arrays: a window table (`Windows`) gives the row of
 each context the prompts' sequences reach, hashed once, and all the
 sequences of a GRPO step are drawn, scored and differentiated together
-(`Tokens`), one token position at a time.
+(`Tokens`), one token position at a time. The uniforms a draw inverts come
+from `seeded_uniforms`, NumPy's seeded streams computed for many seeds at
+once.
 """
 
 from __future__ import annotations
@@ -15,9 +17,151 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+
+
+# NumPy's SeedSequence hash (pool of 4 uint32 words) and PCG64 constants.
+# NEP 19 keeps the streams of seeded bit generators stable across NumPy
+# versions; the tests compare every bit with default_rng(...).random().
+_M32 = 0xFFFF_FFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01_F9DD), np.uint32(0x4973_F715)
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+# the multiplier's 64-bit halves, and the low half's 32-bit limbs
+_PCG_HI, _PCG_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (2**64 - 1))
+_PCG_LO_0, _PCG_LO_1 = np.uint64(int(_PCG_LO) & _M32), np.uint64(int(_PCG_LO) >> 32)
+
+
+def _entropy_words(entropies: Sequence[Sequence[int]]) -> dict[int, tuple]:
+    """The uint32 words SeedSequence assembles from each entropy, grouped by
+    word count k: {k: (rows, (len(rows), k) words)}. An item's words are its
+    base-2**32 digits, least significant first (0 is one word 0); an
+    entropy's words are its items' in order."""
+    lens = np.fromiter(map(len, entropies), np.intp, len(entropies))
+    flat = list(chain.from_iterable(entropies))
+    if flat and min(flat) < 0:
+        raise ValueError("expected non-negative integer")
+    # items past uint64 stay Python ints
+    wide = bool(flat) and max(flat) > 2**64 - 1
+    rest = np.array(flat, dtype=object if wide else np.uint64)
+    digits = [rest & _M32]
+    rest >>= 32
+    while rest.any():
+        digits.append(rest & _M32)
+        rest >>= 32
+    digits = np.stack(digits, axis=1).astype(np.uint32)  # (items, max digits)
+    counts = np.maximum((digits != 0) * np.arange(1, digits.shape[1] + 1), 1).max(axis=1)
+    words = digits[np.arange(digits.shape[1]) < counts[:, None]]
+    word_ends = np.concatenate(([0], np.cumsum(counts)))
+    item_ends = np.cumsum(lens)
+    starts = word_ends[item_ends - lens]
+    row_words = word_ends[item_ends] - starts
+    by_count = {}
+    for k in np.unique(row_words).tolist():
+        rows = np.flatnonzero(row_words == k)
+        by_count[k] = (rows, words[starts[rows, None] + np.arange(k)])
+    return by_count
+
+
+def _pcg64_seed(words: np.ndarray) -> tuple[np.ndarray, ...]:
+    """SeedSequence(entropy).generate_state(4, uint64) for every row of
+    entropy words at once: the pool hash, the mix, the state hash."""
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    n, k = words.shape
+    pool = [
+        hashmix(words[:, i] if i < k else np.zeros(n, dtype=np.uint32))
+        for i in range(_POOL_SIZE)
+    ]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, k):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(words[:, src]))
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _M32
+        value = value * np.uint32(hash_const)
+        state.append((value ^ (value >> 16)).astype(np.uint64))
+    # uint32 pairs read as little-endian uint64s
+    return tuple(state[2 * j] | (state[2 * j + 1] << 32) for j in range(4))
+
+
+def _pcg64_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 step, state * multiplier + inc mod 2**128, on 64-bit halves;
+    the high half of lo * multiplier is summed from 32-bit limbs."""
+    lo_0, lo_1 = lo & _M32, lo >> 32
+    p01, p10 = lo_0 * _PCG_LO_1, lo_1 * _PCG_LO_0
+    carry = ((lo_0 * _PCG_LO_0) >> 32) + (p01 & _M32) + (p10 & _M32)
+    mul_hi = lo_1 * _PCG_LO_1 + (p01 >> 32) + (p10 >> 32) + (carry >> 32)
+    new_lo = lo * _PCG_LO + inc_lo
+    new_hi = mul_hi + hi * _PCG_LO + lo * _PCG_HI + inc_hi + (new_lo < inc_lo)
+    return new_hi, new_lo
+
+
+def _pcg64_uniforms(words: np.ndarray, length: int) -> np.ndarray:
+    """default_rng(entropy).random(length) for every row of entropy words."""
+    seed_hi, seed_lo, inc_hi, inc_lo = _pcg64_seed(words)
+    # pcg64_set_seed: inc = initseq << 1 | 1; state = 0, step, += seed, step
+    inc_hi, inc_lo = (inc_hi << 1) | (inc_lo >> 63), (inc_lo << 1) | 1
+    lo = inc_lo + seed_lo
+    hi = inc_hi + seed_hi + (lo < seed_lo)
+    hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+    out = np.empty((len(words), length))
+    for t in range(length):
+        hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+        # XSL-RR output, then random()'s 53-bit double
+        x, rot = hi ^ lo, hi >> 58
+        x = (x >> rot) | (x << ((64 - rot) & 63))
+        out[:, t] = (x >> 11) * (1.0 / 2**53)
+    return out
+
+
+def seeded_uniforms(entropies: Sequence[Sequence[int]], length: int) -> np.ndarray:
+    """Row r is np.random.default_rng(entropies[r]).random(length), bit for
+    bit, computed for every row together: SeedSequence's hash and PCG64's
+    steps run as uint32/uint64 array operations, not one generator a row.
+    An entropy is a sequence of non-negative ints, as SeedSequence takes."""
+    out = np.empty((len(entropies), length))
+    for rows, words in _entropy_words(entropies).values():
+        out[rows] = _pcg64_uniforms(words, length)
+    return out
+
+
+def group_uniforms(
+    seeds: Sequence[int | tuple[int, ...]], group_size: int, length: int
+) -> np.ndarray:
+    """The uniforms of group_size samples for each seed, the groups one
+    after another: sample i of the group seeded s reads the row of entropy
+    (s, i), a tuple s standing for its items."""
+    return seeded_uniforms(
+        [
+            (*head, i)
+            for head in (s if isinstance(s, tuple) else (s,) for s in seeds)
+            for i in range(group_size)
+        ],
+        length,
+    )
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -419,35 +563,26 @@ class GroupBatch:
 def sample_group(
     policy_old: PolicySnapshot | ToyPolicy,
     prompts: str | Windows,
-    group_size: int,
-    seed: int | Sequence[int | tuple[int, ...]],
+    uniforms: np.ndarray,
 ) -> GroupBatch:
-    """G independent samples from the old policy for every prompt of a
-    Windows table at once, `seed` holding one seed per prompt; a prompt key
-    and one seed are a one-prompt table. A ToyPolicy is snapshotted first.
-    Sample i of the group seeded s takes its uniforms from
-    default_rng([s, i]).random(max_length) (a tuple s stands for its items),
-    the floats that generator gives one rng.random() at a time. Each
-    sample's log-prob under the snapshot goes to logp_old for the importance
-    ratio, and its tokens to `tokens`."""
+    """One group of samples from the old policy for every prompt of a
+    Windows table at once; a prompt key is a one-prompt table. A ToyPolicy
+    is snapshotted first. `uniforms` holds one row per sample, the groups
+    one after another (see `group_uniforms`), so its row count fixes the
+    group size; sample s inverts the row CDFs at uniforms[s] and ends at the
+    end token or after uniforms.shape[1] tokens. Each sample's log-prob
+    under the snapshot goes to logp_old for the importance ratio, and its
+    tokens to `tokens`."""
+    snap = policy_old.snapshot()
+    windows = Windows(snap, (prompts,)) if isinstance(prompts, str) else prompts
+    n_groups = len(windows.prompt_keys)
+    if not n_groups or len(uniforms) % n_groups:
+        raise ValueError("sample_group needs one equal group of uniforms per prompt")
+    group_size = len(uniforms) // n_groups
     if group_size < 2:
         raise ValueError("group_size must be >= 2")
-    snap = policy_old.snapshot()
-    windows = prompts
-    if isinstance(prompts, str):  # one group
-        windows, seed = Windows(snap, (prompts,)), [seed]
-    seeds = list(seed)
-    if len(seeds) != len(windows.prompt_keys):
-        raise ValueError("sample_group needs one seed per prompt")
-    uniforms = np.empty((len(seeds) * group_size, snap.max_length))
-    for g, s in enumerate(seeds):
-        head = s if isinstance(s, tuple) else (s,)
-        for i in range(group_size):
-            uniforms[g * group_size + i] = np.random.default_rng([*head, i]).random(
-                snap.max_length
-            )
     tokens = snap.sample_tokens(
-        windows, np.repeat(np.arange(len(seeds)), group_size), uniforms
+        windows, np.repeat(np.arange(n_groups), group_size), uniforms
     )
     return GroupBatch(
         windows=windows,

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 from .core import CLOSE_ENDED_TASKS, PartitionTag, VqaSample
 from .observations import LexicalMatcher, Role
 from .scoring import factuality
-from .tags import parse_tags
+from .tags import TaggedOutput, parse_tags
 
 OpenScorer = Callable[[str, str], float]
 
@@ -44,7 +44,10 @@ def format_reward(output: str, partition: PartitionTag) -> int:
     Reasoning-augmented: think then answer. Answer-only: a well-formed answer
     tag; a volunteered think tag is not penalized.
     """
-    tagged = parse_tags(output)
+    return _format(parse_tags(output), partition)
+
+
+def _format(tagged: TaggedOutput, partition: PartitionTag) -> int:
     if not tagged.well_formed:
         return 0
     if partition is PartitionTag.REASONING_AUGMENTED and tagged.think is None:
@@ -58,13 +61,12 @@ def _normalize_answer(text: str) -> str:
 
 def _match_close_ended(answer_text: str, sample: VqaSample) -> float:
     pred = _normalize_answer(answer_text)
-    truth = sample.answer
-    option_text = _normalize_answer(sample.answer_text())
-    if pred == truth.casefold() or pred == option_text:
+    truth = sample.answer.casefold()
+    if pred == truth or pred == _normalize_answer(sample.answer_text()):
         return 1.0
     # answers like "B) atelectasis" match on the leading label
     head = pred.split(")")[0].split(".")[0].strip()
-    if head == truth.casefold():
+    if head == truth:
         return 1.0
     return 0.0
 
@@ -91,7 +93,12 @@ def outcome_reward(
 ) -> float:
     """Exact label match for close-ended tasks; pluggable similarity scorer
     for open-ended generation. Missing answer tag scores 0."""
-    tagged = parse_tags(output)
+    return _outcome(parse_tags(output), sample, open_scorer)
+
+
+def _outcome(
+    tagged: TaggedOutput, sample: VqaSample, open_scorer: Optional[OpenScorer]
+) -> float:
     if tagged.answer is None:
         return 0.0
     if sample.task in CLOSE_ENDED_TASKS:
@@ -107,11 +114,14 @@ def outcome_reward(
 def process_reward(output: str, sample: VqaSample, matcher) -> float:
     """Factuality of the think content against the clinical report (leniency
     rule included). Empty or missing think content scores 0."""
+    return _process(parse_tags(output), sample, matcher)
+
+
+def _process(tagged: TaggedOutput, sample: VqaSample, matcher) -> float:
     if not sample.report:
         raise ValueError(
             f"sample {sample.id}: process reward requires a reasoning-augmented sample"
         )
-    tagged = parse_tags(output)
     think = tagged.think if tagged.think is not None else ""
     if not think.strip():
         return 0.0
@@ -133,17 +143,19 @@ def total_reward(
     config: Optional[RewardConfig] = None,
 ) -> RewardBreakdown:
     """Unweighted component sum; process component only on reasoning-augmented
-    samples (and only when enabled by config)."""
+    samples (and only when enabled by config). The output's tags are parsed
+    once, for all three components."""
     config = config or RewardConfig()
     if partition is None:
         partition = sample.partition
     if partition is None:
         raise ValueError(f"sample {sample.id}: partition undefined (mixed sample)")
-    fmt = float(format_reward(output, partition))
-    outcome = outcome_reward(output, sample, partial(entity_f1, matcher=config.matcher))
+    tagged = parse_tags(output)
+    fmt = float(_format(tagged, partition))
+    outcome = _outcome(tagged, sample, partial(entity_f1, matcher=config.matcher))
     process = 0.0
     if partition is PartitionTag.REASONING_AUGMENTED and config.use_process_reward:
-        process = process_reward(output, sample, config.matcher)
+        process = _process(tagged, sample, config.matcher)
     return RewardBreakdown(
         format=fmt, outcome=outcome, process=process, total=fmt + outcome + process
     )

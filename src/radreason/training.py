@@ -29,6 +29,7 @@ from .policy import (
     ToyPolicy,
     Windows,
     advantages,
+    group_uniforms,
     grpo_objective,
     kl_penalty,
     sample_group,
@@ -161,18 +162,13 @@ def _probe_factuality(
     windows: Windows,
     probe_samples: list[VqaSample],
     matcher,
-    group_size: int,
-    seed: int,
-) -> Optional[float]:
+    uniforms: np.ndarray,
+) -> float:
     """Diagnostic mean process factuality of fresh samples on reasoning-
     augmented prompts (`windows` holds their prompts); measured for every
-    preset, rewarded only by some. Sample i of probe prompt j is seeded
-    [seed, j, i]."""
-    if not probe_samples:
-        return None
-    batch = sample_group(
-        policy, windows, group_size, [(seed, j) for j in range(len(probe_samples))]
-    )
+    preset, rewarded only by some."""
+    batch = sample_group(policy, windows, uniforms)
+    group_size = len(batch.outputs) // len(probe_samples)
     values = [
         process_reward(
             detokenize(o, policy.eos_token), probe_samples[k // group_size], matcher
@@ -183,6 +179,36 @@ def _probe_factuality(
 
 
 PROBE_EVERY = 25  # GRPO steps between factuality probes (plus first and last)
+DRAW_ROWS = 2_048  # sample uniforms drawn at once, in whole steps
+
+
+def _step_uniforms(cfg: GrpoConfig, n_samples: int, n_probes: int, length: int):
+    """Yield each GRPO step's sample uniforms, and its probe's (None on a
+    step without a probe). They do not depend on theta, so they are drawn a
+    block of about DRAW_ROWS rows at a time. Sample i of prompt j at step t
+    is seeded [seed * 1_000_003 + t * 1_009 + j, i]; sample i of probe
+    prompt j, [seed * 7_368_787 + t, j, i]."""
+    G, steps = cfg.group_size, cfg.steps
+    block = max(1, DRAW_ROWS // (n_samples * G))
+    for first in range(0, steps, block):
+        block_steps = range(first, min(first + block, steps))
+        probing = [
+            t
+            for t in block_steps
+            if n_probes and (t == 0 or t == steps - 1 or (t + 1) % PROBE_EVERY == 0)
+        ]
+        seeds: list = [
+            cfg.seed * 1_000_003 + t * 1_009 + j
+            for t in block_steps
+            for j in range(n_samples)
+        ]
+        seeds += [(cfg.seed * 7_368_787 + t, j) for t in probing for j in range(n_probes)]
+        drawn = group_uniforms(seeds, G, length)
+        split = len(block_steps) * n_samples * G
+        step_rows = drawn[:split].reshape(len(block_steps), n_samples * G, length)
+        probe_rows = iter(drawn[split:].reshape(len(probing), n_probes * G, length))
+        for t, uniforms in zip(block_steps, step_rows):
+            yield uniforms, next(probe_rows) if t in probing else None
 
 
 def train_grpo(
@@ -216,13 +242,9 @@ def train_grpo(
     G = cfg.group_size
     policy_old = policy.snapshot()
     stats = []
-    for step in range(cfg.steps):
-        batch = sample_group(
-            policy_old,
-            windows,
-            G,
-            [cfg.seed * 1_000_003 + step * 1_009 + j for j in range(len(samples))],
-        )
+    draws = _step_uniforms(cfg, len(samples), len(probe_samples), policy.max_length)
+    for step, (uniforms, probe_uniforms) in enumerate(draws):
+        batch = sample_group(policy_old, windows, uniforms)
         groups = [
             _group_rewards(
                 batch.outputs[j * G : (j + 1) * G],
@@ -243,14 +265,13 @@ def train_grpo(
         policy_old = policy.snapshot()
 
         probe = None
-        if step == 0 or step == cfg.steps - 1 or (step + 1) % PROBE_EVERY == 0:
+        if probe_uniforms is not None:
             probe = _probe_factuality(
                 policy_old,
                 probe_windows,
                 probe_samples,
                 reward_cfg.matcher,
-                G,
-                seed=cfg.seed * 7_368_787 + step,
+                probe_uniforms,
             )
         kl_new = kl_penalty(batch.logp_old, policy_old.sequence_log_probs(batch.tokens))
         breakdowns = [b for group in groups for b in group]

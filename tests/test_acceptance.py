@@ -32,6 +32,7 @@ from radreason.policy import (
     SftBatch,
     ToyPolicy,
     advantages,
+    group_uniforms,
     grpo_objective,
     sample_group,
     sft_loss,
@@ -303,7 +304,9 @@ def test_criterion_06_gradient_checks():
             kl_coef=0.01,
             entropy_coef=0.01,
         )
-        batch = sample_group(policy_old, "p", cfg.group_size, seed=attempt)
+        batch = sample_group(
+            policy_old, "p", group_uniforms([attempt], cfg.group_size, policy_old.max_length)
+        )
         batch.rewards = rng.uniform(0, 3, size=cfg.group_size)
         batch.advantages = advantages(batch.rewards)
         # the clipped surrogate is non-differentiable where the ratio sits on

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radreason import harness
 from radreason.core import load_corpus
 from radreason.harness import (
     EXIT_FATAL,
@@ -40,6 +41,15 @@ class TestBootstrapCi:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             bootstrap_ci([])
+
+    @pytest.mark.parametrize("chunk", [1, 7, 49, 50, 333])
+    @pytest.mark.parametrize("shape", [(1,), (49,), (50, 3)])
+    def test_chunked_index_gives_the_one_draw_intervals(self, monkeypatch, chunk, shape):
+        # chunks of a part of a row, one row, and odd row counts
+        values = np.random.default_rng(3).normal(size=shape)
+        whole = bootstrap_ci(values, resamples=101, seed=17)
+        monkeypatch.setattr(harness, "_INDEX_CHUNK", chunk)
+        assert bootstrap_ci(values, resamples=101, seed=17) == whole
 
     @settings(max_examples=30, deadline=None)
     @given(

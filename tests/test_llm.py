@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 import requests
@@ -97,6 +102,43 @@ class TestCache:
         cache.put(req.idempotency_key, "recorded")
         client = CompletionClient(CacheOnlyBackend(), cache=cache)
         assert client.complete(req) == "recorded"
+
+    def test_processes_putting_one_key_leave_one_whole_response(self, tmp_path):
+        # each process writes its own large payload many times over, starting
+        # together; a shared temp path lets one rename the other's half-written
+        # file, or find its own temp file gone
+        script = (
+            "import sys, time\n"
+            "from pathlib import Path\n"
+            "from radreason.llm import ResponseCache\n"
+            "cache, name = ResponseCache(sys.argv[1]), sys.argv[2]\n"
+            "Path(sys.argv[1], name + '.ready').touch()\n"
+            "while not Path(sys.argv[1], 'go').exists():\n"
+            "    time.sleep(0.001)\n"
+            "for _ in range(300):\n"
+            "    cache.put('k', name * 200_000)\n"
+        )
+        path = [str(Path(llm.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, str(tmp_path), name],
+                env=env,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for name in "AB"
+        ]
+        deadline = time.monotonic() + 60
+        while not all((tmp_path / f"{n}.ready").exists() for n in "AB"):
+            assert time.monotonic() < deadline, "writer processes did not start"
+            time.sleep(0.01)
+        (tmp_path / "go").touch()
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+        assert ResponseCache(tmp_path).get("k") in ("A" * 200_000, "B" * 200_000)
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_cache_only_miss_is_deterministic_error(self, tmp_path):
         client = CompletionClient(CacheOnlyBackend(), cache=ResponseCache(tmp_path))

@@ -3,7 +3,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radreason.policy import (
@@ -13,9 +13,11 @@ from radreason.policy import (
     ToyPolicy,
     Windows,
     advantages,
+    group_uniforms,
     grpo_objective,
     kl_penalty,
     sample_group,
+    seeded_uniforms,
     sft_loss,
     _entropy_with_grad,
 )
@@ -140,6 +142,43 @@ def reference_log_prob(policy, prompt_key, tokens):
     return float(logp)
 
 
+# one-word, two-word and wider items, and 0
+ENTROPY_ITEMS = st.one_of(
+    st.just(0),
+    st.integers(0, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.integers(2**64, 2**200),
+)
+
+
+class TestSeededUniforms:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entropies=st.lists(
+            st.lists(ENTROPY_ITEMS, min_size=1, max_size=6), min_size=1, max_size=5
+        ),
+        length=st.integers(0, 20),
+    )
+    @example(entropies=[[0], [1, 2, 3, 4, 5, 6], [2**64, 2**96 + 1, 7]], length=20)
+    def test_rows_equal_default_rng(self, entropies, length):
+        got = seeded_uniforms(entropies, length)
+        assert got.shape == (len(entropies), length)
+        for row, entropy in zip(got, entropies):
+            assert np.array_equal(row, np.random.default_rng(entropy).random(length))
+
+    @pytest.mark.parametrize("entropy", [[-1], [3, -(2**40)], [2**70, -5, 1]])
+    def test_negative_entropy_refused_like_seed_sequence(self, entropy):
+        with pytest.raises(ValueError):
+            np.random.default_rng(entropy)
+        with pytest.raises(ValueError, match="non-negative"):
+            seeded_uniforms([[1], entropy], 4)
+
+    def test_group_rows_append_the_sample_index(self):
+        got = group_uniforms([7, (2**40, 3)], 3, 6)
+        entropies = [[7, i] for i in range(3)] + [[2**40, 3, i] for i in range(3)]
+        assert np.array_equal(got, seeded_uniforms(entropies, 6))
+
+
 class TestSnapshot:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -156,7 +195,7 @@ class TestSnapshot:
         policy = random_policy(
             np.random.default_rng(seed), n_contexts, vocab, scale, max_length=8
         )
-        batch = sample_group(policy, prompt, 4, seed=seed)
+        batch = sample_group(policy, prompt, group_uniforms([seed], 4, policy.max_length))
         for i, (out, lp) in enumerate(zip(batch.outputs, batch.logp_old)):
             assert out == reference_sample(
                 policy, prompt, np.random.default_rng([seed, i])
@@ -170,7 +209,7 @@ class TestSnapshot:
     def test_calls_see_theta_mutated_in_place(self):
         policy = ToyPolicy.uniform(VOCAB, n_contexts=8, max_length=4)
         policy.theta[:, policy.token_index("a")] = 30.0
-        batch = sample_group(policy, "p", 2, seed=0)
+        batch = sample_group(policy, "p", group_uniforms([0], 2, policy.max_length))
         batch.rewards = np.array([0.0, 1.0])
         batch.advantages = advantages(batch.rewards)
         cfg = GrpoConfig(group_size=2, kl_coef=0.01, entropy_coef=0.01)
@@ -365,7 +404,9 @@ def make_group(seed, group_size=4):
     rng = np.random.default_rng(seed)
     policy_old = random_policy(rng)
     policy = random_policy(rng, scale=0.3)
-    batch = sample_group(policy_old, "p", group_size, seed=seed)
+    batch = sample_group(
+        policy_old, "p", group_uniforms([seed], group_size, policy_old.max_length)
+    )
     batch.rewards = rng.uniform(0, 3, size=group_size)
     batch.advantages = advantages(batch.rewards)
     return policy, policy_old, batch
@@ -385,8 +426,8 @@ class TestGrpoObjective:
 
     def test_sample_group_deterministic(self):
         _, policy_old, _ = make_group(2)
-        a = sample_group(policy_old, "p", 4, seed=5)
-        b = sample_group(policy_old, "p", 4, seed=5)
+        a = sample_group(policy_old, "p", group_uniforms([5], 4, policy_old.max_length))
+        b = sample_group(policy_old, "p", group_uniforms([5], 4, policy_old.max_length))
         assert a.outputs == b.outputs
 
     def test_identical_policies_give_unit_ratio_value(self):
@@ -448,7 +489,9 @@ def make_step(seed, prompts=("p", "q", "r"), group_size=3):
     policy = random_policy(rng, scale=0.3)
     windows = Windows(policy_old, prompts)
     seeds = [seed * 10 + j for j in range(len(prompts))]
-    batch = sample_group(policy_old, windows, group_size, seeds)
+    batch = sample_group(
+        policy_old, windows, group_uniforms(seeds, group_size, policy_old.max_length)
+    )
     rewards = rng.uniform(0, 3, size=(len(prompts), group_size))
     batch.rewards = rewards.ravel()
     batch.advantages = np.concatenate([advantages(r) for r in rewards])
@@ -474,7 +517,11 @@ class TestLockstepStep:
             np.random.default_rng(seed), n_contexts, vocab, scale, max_length
         )
         seeds = [(seed + j) % 2**32 for j in range(len(prompts))]
-        batch = sample_group(policy, Windows(policy, prompts), group_size, seeds)
+        batch = sample_group(
+            policy,
+            Windows(policy, prompts),
+            group_uniforms(seeds, group_size, policy.max_length),
+        )
         assert len(batch.outputs) == len(prompts) * group_size
         for s, (out, lp) in enumerate(zip(batch.outputs, batch.logp_old)):
             j, i = divmod(s, group_size)
@@ -488,7 +535,7 @@ class TestLockstepStep:
         vocab = tuple(f"t{i}" for i in range(99_999)) + ("<eos>",)
         policy = random_policy(np.random.default_rng(17), 4, vocab, max_length=6)
         windows = Windows(policy, ["p", "q"])
-        batch = sample_group(policy, windows, 3, [1, 2])
+        batch = sample_group(policy, windows, group_uniforms([1, 2], 3, policy.max_length))
         assert len(windows._memo) <= batch.tokens.mask.sum()
         for s, out in enumerate(batch.outputs):
             prompt = windows.prompt_keys[s // 3]
@@ -501,8 +548,10 @@ class TestLockstepStep:
 
     def test_one_prompt_table_equals_prompt_key(self):
         policy = random_policy(np.random.default_rng(12))
-        by_key = sample_group(policy, "p", 4, seed=9)
-        by_table = sample_group(policy, Windows(policy, ["p"]), 4, [9])
+        by_key = sample_group(policy, "p", group_uniforms([9], 4, policy.max_length))
+        by_table = sample_group(
+            policy, Windows(policy, ["p"]), group_uniforms([9], 4, policy.max_length)
+        )
         assert by_key.outputs == by_table.outputs
         assert np.array_equal(by_key.logp_old, by_table.logp_old)
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from radreason.core import PartitionTag, PromptMode
-from radreason.policy import GrpoConfig
+from radreason import training
+from radreason.policy import GrpoConfig, group_uniforms
 from radreason.rewards import RewardConfig
 from radreason.training import (
     EOS_TOKEN,
@@ -141,6 +142,24 @@ class TestGrpoStage:
         trained, stats = train_grpo(policy, corpus, RewardConfig(), cfg)
         assert np.array_equal(trained.theta, before)
         assert [s.zero_advantage_share for s in stats] == [1.0, 1.0]
+
+    @pytest.mark.parametrize("n_probes", [0, 1, 2])
+    def test_step_uniforms_follow_the_seeding_scheme(self, monkeypatch, n_probes):
+        # blocks of 3 steps (2 prompts x 3 samples a step), probes inside
+        # and across blocks, a short last block
+        monkeypatch.setattr(training, "DRAW_ROWS", 20)
+        monkeypatch.setattr(training, "PROBE_EVERY", 3)
+        cfg = GrpoConfig(group_size=3, steps=8, seed=5_000)
+        draws = list(training._step_uniforms(cfg, 2, n_probes, 5))
+        assert len(draws) == cfg.steps
+        for t, (uniforms, probe_uniforms) in enumerate(draws):
+            seeds = [5_000 * 1_000_003 + t * 1_009 + j for j in range(2)]
+            assert np.array_equal(uniforms, group_uniforms(seeds, 3, 5))
+            if n_probes and t in (0, 2, 5, 7):
+                probe_seeds = [(5_000 * 7_368_787 + t, j) for j in range(n_probes)]
+                assert np.array_equal(probe_uniforms, group_uniforms(probe_seeds, 3, 5))
+            else:
+                assert probe_uniforms is None
 
     def test_stats_report_all_components(self, corpus):
         policy = make_toy_policy(corpus)
