@@ -56,6 +56,13 @@ def _make_llm_client(args, config: dict):
     )
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radreason",
@@ -72,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="mock",
         help="completion backend for mining / llm matching",
     )
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=_positive_int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mine", help="mine reasoning chains and compile a benchmark")
@@ -94,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="aggregate score records into a CI table")
     p.add_argument("records", help="score records file from `score`")
     p.add_argument("--out", help="machine-readable report file")
-    p.add_argument("--resamples", type=int, default=1000)
+    p.add_argument("--resamples", type=_positive_int, default=1000)
 
     p = sub.add_parser("train-toy", help="run a toy training preset")
     p.add_argument("corpus")

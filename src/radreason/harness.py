@@ -32,6 +32,7 @@ from .observations import LexicalMatcher
 from .policy import GrpoConfig
 from .rewards import entity_f1, format_reward, outcome_reward
 from .scoring import NotScorableError, score_sample
+from .tags import parse_tags
 from .training import SftConfig, make_toy_policy, run_preset, save_checkpoint
 
 EXIT_OK = 0
@@ -59,6 +60,8 @@ def bootstrap_ci(
     table = np.asarray(values, dtype=float)
     if table.size == 0:
         raise ValueError("bootstrap_ci requires non-empty values")
+    if resamples < 1:
+        raise ValueError(f"bootstrap_ci requires resamples >= 1, got {resamples}")
     n = table.shape[0]
     cols = table.reshape(n, -1).T
     rng = np.random.default_rng(seed)
@@ -112,7 +115,8 @@ def cmd_score(
 
     Emits one record per output, sorted by sample id; malformed lines and
     unresolvable or unscorable ids are collected as errors, located by line
-    and sorted by (id, line), and the run continues.
+    and sorted by (id, line), and the run continues. An output's tags are
+    parsed once, for its scores and its rewards.
     """
     rows, bad_lines = [], []
     for lineno, rec, reason in read_jsonl(outputs_path, ("id", "output")):
@@ -129,16 +133,17 @@ def cmd_score(
         sample = by_id.get(sample_id)
         if sample is None:
             return None, {"id": sample_id, "line": lineno, "error": "unknown sample id"}
+        tagged = parse_tags(output)
         try:
-            scores = score_sample(sample, output, matcher)
+            scores = score_sample(sample, tagged, matcher)
         except NotScorableError as e:
             return None, {"id": sample_id, "line": lineno, "error": str(e)}
         record = {
             "id": sample_id,
             "task": sample.task.value,
             **scores.as_record(),
-            "format": format_reward(output, sample.partition),
-            "outcome": outcome_reward(output, sample, open_scorer),
+            "format": format_reward(tagged, sample.partition),
+            "outcome": outcome_reward(tagged, sample, open_scorer),
         }
         return record, None
 

@@ -5,11 +5,11 @@ of logit-table rows, so every objective here admits closed-form gradients
 checkable against finite differences, and output spaces stay enumerable.
 
 Sequences are read as arrays: a window table (`Windows`) gives the row of
-each context the prompts' sequences reach, hashed once, and all the
-sequences of a GRPO step are drawn, scored and differentiated together
-(`Tokens`), one token position at a time. The uniforms a draw inverts come
-from `seeded_uniforms`, NumPy's seeded streams computed for many seeds at
-once.
+each context the prompts' sequences reach, hashed once. All the sequences
+of a GRPO step are drawn, scored and differentiated together (`Tokens`),
+one token position at a time; all the targets of an SFT step are scored
+and differentiated the same way. The uniforms a draw inverts come from
+`seeded_uniforms`, NumPy's seeded streams computed for many seeds at once.
 """
 
 from __future__ import annotations
@@ -177,20 +177,6 @@ def _entropy_with_grad(lp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h, -p * (lp + h[..., None])
 
 
-def _prompt_crc(prompt_key: str) -> int:
-    """CRC-32 of the prompt part of every context key of one sequence."""
-    return zlib.crc32(prompt_key.encode("utf-8") + b"\x1f")
-
-
-def _context_bucket(
-    prompt_crc: int, prev_tokens: Sequence[str], context_size: int, n_contexts: int
-) -> int:
-    """Row of the context (prompt, last context_size tokens): the CRC-32 of
-    prompt, then the window, joined by unit separators."""
-    window = tuple(prev_tokens)[-context_size:]
-    return zlib.crc32("\x1f".join(window).encode("utf-8"), prompt_crc) % n_contexts
-
-
 class Tokens(NamedTuple):
     """Token sequences as arrays padded to the longest: at each position the
     context row read and the vocabulary index taken, and whether a token is
@@ -204,10 +190,12 @@ class Tokens(NamedTuple):
 class Windows:
     """The context rows a set of prompts' sequences read, hashed as reached.
 
-    A sequence's state is its last context_size tokens as base-(V+1) digits
-    (token index + 1; 0 before the first token), so `advance` moves it on by
-    a token and `rows_at` gives the row each sequence reads next. A row is
-    hashed the first time its (prompt, window) pair is reached and then
+    The row of a context (prompt, last context_size tokens) is the CRC-32
+    of the prompt, then the window, joined by unit separators, modulo
+    n_contexts. A sequence's state is its window as base-(V+1) digits
+    (token index + 1; 0 before the first token), so `advance` moves it on
+    by a token and `rows_at` gives the row each sequence reads next. A row
+    is hashed the first time its (prompt, window) pair is reached and then
     memoised, so a table costs what its sequences visit, not V^context_size
     per prompt. The rows depend on the prompts and on the policy's
     vocabulary, context_size and n_contexts, not on theta, so one table
@@ -223,7 +211,10 @@ class Windows:
         # states, and the memo keys state * n_prompts + prompt, stay in intp
         if self.span * self.base * max(len(self.prompt_keys), 1) > np.iinfo(np.intp).max:
             raise ValueError("too many windows to index: vocabulary or context_size")
-        self._crcs = [_prompt_crc(key) for key in self.prompt_keys]
+        # the CRC-32 of each prompt's part of its keys, the prompt and a separator
+        self._crcs = [
+            zlib.crc32(key.encode("utf-8") + b"\x1f") for key in self.prompt_keys
+        ]
         self._memo: dict[int, int] = {}  # row by key state * n_prompts + prompt
 
     def advance(self, state: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -237,7 +228,8 @@ class Windows:
             state, digit = divmod(state, self.base)
             if digit:
                 window.append(vocab[digit - 1])
-        return _context_bucket(self._crcs[prompt_id], window[::-1], k, n_contexts)
+        joined = "\x1f".join(reversed(window)).encode("utf-8")
+        return zlib.crc32(joined, self._crcs[prompt_id]) % n_contexts
 
     def rows_at(self, prompt_ids: np.ndarray, state: np.ndarray) -> np.ndarray:
         """The row sequence s reads next, at state[s] under prompt prompt_ids[s]."""
@@ -264,19 +256,6 @@ class Windows:
             rows[live, t] = self.rows_at(prompt_ids[live], state[live])
             state = self.advance(state, idxs[:, t])
         return Tokens(rows, idxs, mask)
-
-
-def _scatter_grad(probs: np.ndarray, tokens: Tokens, weights: np.ndarray) -> np.ndarray:
-    """sum_s weights[s] * d log p(sequence s) / d theta, in one scatter: each
-    token adds its sequence's weight at (row, index) and takes weight x the
-    row's probs off that row."""
-    n_contexts, V = probs.shape
-    rows = tokens.rows[tokens.mask]
-    w = np.broadcast_to(weights[:, None], tokens.mask.shape)[tokens.mask]
-    cells = np.bincount(
-        rows * V + tokens.idxs[tokens.mask], weights=w, minlength=n_contexts * V
-    ).reshape(n_contexts, V)
-    return cells - np.bincount(rows, weights=w, minlength=n_contexts)[:, None] * probs
 
 
 # Generator.choice(p=...) rejects rows whose sum is further than this from 1
@@ -348,14 +327,6 @@ class ToyPolicy:
             return self._index[token]
         except KeyError:
             raise ValueError(f"token {token!r} is outside the vocabulary")
-
-    def bucket(self, prompt_key: str, prev_tokens: Sequence[str]) -> int:
-        return _context_bucket(
-            _prompt_crc(prompt_key), prev_tokens, self.context_size, self.n_contexts
-        )
-
-    def log_probs_at(self, bucket: int) -> np.ndarray:
-        return _log_softmax(self.theta[bucket])
 
     def log_prob(self, prompt_key: str, tokens: Sequence[str]) -> float:
         return self.snapshot().log_prob(prompt_key, tokens)
@@ -447,6 +418,19 @@ class PolicySnapshot:
         lp = np.where(tokens.mask, self.log_probs[tokens.rows, tokens.idxs], 0.0)
         return np.cumsum(lp, axis=1)[:, -1] if lp.shape[1] else np.zeros(len(lp))
 
+    def scatter_grad(self, tokens: Tokens, weights: np.ndarray) -> np.ndarray:
+        """sum_s weights[s] * d log p(sequence s) / d theta, in one scatter:
+        each token adds its sequence's weight at (row, index) and takes
+        weight x the row's probs off that row."""
+        n_contexts, V = self.probs.shape
+        rows = tokens.rows[tokens.mask]
+        w = np.broadcast_to(weights[:, None], tokens.mask.shape)[tokens.mask]
+        cells = np.bincount(
+            rows * V + tokens.idxs[tokens.mask], weights=w, minlength=n_contexts * V
+        ).reshape(n_contexts, V)
+        counts = np.bincount(rows, weights=w, minlength=n_contexts)
+        return cells - counts[:, None] * self.probs
+
     def decode(self, tokens: Tokens) -> tuple[tuple[str, ...], ...]:
         vocab = self.vocab
         return tuple(
@@ -466,7 +450,7 @@ class PolicySnapshot:
         """Exact log-prob, the rows of theta it depends on (ascending) and its
         gradient in them; the gradient is zero in every other row."""
         encoded = self._encode_one(prompt_key, tokens)
-        grad = _scatter_grad(self.probs, encoded, np.ones(1))
+        grad = self.scatter_grad(encoded, np.ones(1))
         rows = np.unique(encoded.rows[encoded.mask])
         return float(self.sequence_log_probs(encoded)[0]), rows, grad[rows]
 
@@ -485,30 +469,19 @@ class PolicySnapshot:
 class SftBatch:
     prompt_key: str
     target: tuple[str, ...]
-    mask: Optional[tuple[bool, ...]] = None  # defaults to all target tokens
 
     def __post_init__(self) -> None:
         if not self.target:
             raise ValueError("sft target must be non-empty")
-        if self.mask is not None and len(self.mask) != len(self.target):
-            raise ValueError("mask length must equal target length")
 
 
 def sft_loss(policy: ToyPolicy, batch: SftBatch) -> tuple[float, np.ndarray]:
-    """Negative log-likelihood of the masked target tokens, with exact gradient."""
-    mask = batch.mask or tuple(True for _ in batch.target)
-    loss = 0.0
+    """Negative log-likelihood of the target, with its exact gradient in
+    theta: one target of the sequence path `train_sft` takes."""
+    logp, rows, grad_rows = policy.log_prob_with_grad(batch.prompt_key, batch.target)
     grad = np.zeros_like(policy.theta)
-    for t, token in enumerate(batch.target):
-        if not mask[t]:
-            continue
-        b = policy.bucket(batch.prompt_key, batch.target[:t])
-        lp = policy.log_probs_at(b)
-        idx = policy.token_index(token)
-        loss -= lp[idx]
-        grad[b] += np.exp(lp)
-        grad[b, idx] -= 1.0
-    return float(loss), grad
+    grad[rows] = -grad_rows
+    return -logp, grad
 
 
 @dataclass
@@ -544,11 +517,9 @@ class GroupBatch:
     windows: Windows
     outputs: tuple[tuple[str, ...], ...]
     logp_old: np.ndarray
+    tokens: Tokens  # the outputs as arrays, as sample_group records them
     rewards: Optional[np.ndarray] = None
     advantages: Optional[np.ndarray] = None
-    # the outputs as arrays, recorded by sample_group; None makes
-    # grpo_objective hash the outputs itself
-    tokens: Optional[Tokens] = None
 
     def __post_init__(self) -> None:
         if len(self.outputs) != len(self.logp_old):
@@ -556,7 +527,7 @@ class GroupBatch:
         n_groups = len(self.windows.prompt_keys)
         if not n_groups or len(self.outputs) % n_groups:
             raise ValueError("outputs must split into one equal group per prompt")
-        if self.tokens is not None and len(self.tokens.rows) != len(self.outputs):
+        if len(self.tokens.rows) != len(self.outputs):
             raise ValueError("outputs and tokens must have equal length")
 
 
@@ -646,10 +617,6 @@ def grpo_objective(
     n_groups = len(batch.windows.prompt_keys)
     G = len(batch.outputs) // n_groups
     tokens = batch.tokens
-    if tokens is None:
-        tokens = batch.windows.encode(
-            batch.outputs, np.repeat(np.arange(n_groups), G)
-        )
     a = np.asarray(batch.advantages, dtype=float)
     logp_old = np.asarray(batch.logp_old, dtype=float)
     logp_new = snap.sequence_log_probs(tokens)
@@ -672,7 +639,7 @@ def grpo_objective(
     scale = 1.0 / (G * n_groups)
     value = float((surr - cfg.kl_coef * kl).sum()) * scale
     weights = (np.where(active, a * rho, 0.0) - cfg.kl_coef * gkl) * scale
-    grad = _scatter_grad(snap.probs, tokens, weights)
+    grad = snap.scatter_grad(tokens, weights)
     if cfg.entropy_coef > 0:
         # each group weighs the rows it visits equally
         group = np.broadcast_to(

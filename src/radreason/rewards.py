@@ -38,16 +38,12 @@ class RewardBreakdown:
         }
 
 
-def format_reward(output: str, partition: PartitionTag) -> int:
+def format_reward(tagged: TaggedOutput, partition: PartitionTag) -> int:
     """1 iff the output carries the tag structure required for the partition.
 
     Reasoning-augmented: think then answer. Answer-only: a well-formed answer
     tag; a volunteered think tag is not penalized.
     """
-    return _format(parse_tags(output), partition)
-
-
-def _format(tagged: TaggedOutput, partition: PartitionTag) -> int:
     if not tagged.well_formed:
         return 0
     if partition is PartitionTag.REASONING_AUGMENTED and tagged.think is None:
@@ -89,16 +85,10 @@ def entity_f1(prediction: str, reference: str, matcher=None) -> float:
 
 
 def outcome_reward(
-    output: str, sample: VqaSample, open_scorer: Optional[OpenScorer] = None
+    tagged: TaggedOutput, sample: VqaSample, open_scorer: Optional[OpenScorer] = None
 ) -> float:
     """Exact label match for close-ended tasks; pluggable similarity scorer
     for open-ended generation. Missing answer tag scores 0."""
-    return _outcome(parse_tags(output), sample, open_scorer)
-
-
-def _outcome(
-    tagged: TaggedOutput, sample: VqaSample, open_scorer: Optional[OpenScorer]
-) -> float:
     if tagged.answer is None:
         return 0.0
     if sample.task in CLOSE_ENDED_TASKS:
@@ -111,13 +101,9 @@ def _outcome(
     return min(1.0, max(0.0, float(value)))
 
 
-def process_reward(output: str, sample: VqaSample, matcher) -> float:
+def process_reward(tagged: TaggedOutput, sample: VqaSample, matcher) -> float:
     """Factuality of the think content against the clinical report (leniency
     rule included). Empty or missing think content scores 0."""
-    return _process(parse_tags(output), sample, matcher)
-
-
-def _process(tagged: TaggedOutput, sample: VqaSample, matcher) -> float:
     if not sample.report:
         raise ValueError(
             f"sample {sample.id}: process reward requires a reasoning-augmented sample"
@@ -151,11 +137,11 @@ def total_reward(
     if partition is None:
         raise ValueError(f"sample {sample.id}: partition undefined (mixed sample)")
     tagged = parse_tags(output)
-    fmt = float(_format(tagged, partition))
-    outcome = _outcome(tagged, sample, partial(entity_f1, matcher=config.matcher))
+    fmt = float(format_reward(tagged, partition))
+    outcome = outcome_reward(tagged, sample, partial(entity_f1, matcher=config.matcher))
     process = 0.0
     if partition is PartitionTag.REASONING_AUGMENTED and config.use_process_reward:
-        process = _process(tagged, sample, config.matcher)
+        process = process_reward(tagged, sample, config.matcher)
     return RewardBreakdown(
         format=fmt, outcome=outcome, process=process, total=fmt + outcome + process
     )

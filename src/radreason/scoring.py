@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .core import VqaSample
 from .observations import ObservationSet, Role, is_normalish
-from .tags import parse_tags
+from .tags import TaggedOutput
 
 
 class NotScorableError(ValueError):
@@ -101,23 +101,23 @@ def combine(rf: RatioResult, rc: RatioResult, re_: RatioResult) -> ReasoningScor
     )
 
 
-def model_reasoning_text(model_output: str) -> str:
+def model_reasoning_text(tagged: TaggedOutput) -> str:
     """Think-tag content when tags exist, whole output otherwise."""
-    tagged = parse_tags(model_output)
     if tagged.think is not None:
         return tagged.think
-    return model_output
+    return tagged.text
 
 
-def score_sample(sample: VqaSample, model_output: str, matcher) -> ReasoningScores:
-    """Score one model output against the sample's report and mined reasoning."""
+def score_sample(sample: VqaSample, tagged: TaggedOutput, matcher) -> ReasoningScores:
+    """Score one parsed model output against the sample's report and mined
+    reasoning."""
     if not sample.report or not sample.reasoning:
         raise NotScorableError(
             f"sample {sample.id}: scoring requires both report and reasoning"
         )
-    if not model_output:
-        raise ValueError("model_output must be non-empty")
-    think = model_reasoning_text(model_output)
+    if not tagged.text:
+        raise ValueError("model output must be non-empty")
+    think = model_reasoning_text(tagged)
     if think.strip():
         obs_model = matcher.extract(think, Role.MODEL)
     else:

@@ -14,6 +14,7 @@ _ANSWER_RE = re.compile(r"<answer>(.*?)</answer>", re.DOTALL)
 class TaggedOutput:
     """First well-nested think/answer spans found in a model output."""
 
+    text: str  # the output parsed
     think: Optional[str]
     answer: Optional[str]
     well_formed: bool  # answer tag closed; think (if present) closed and before answer
@@ -34,4 +35,4 @@ def parse_tags(output: str) -> TaggedOutput:
         # an opened think tag must be closed and precede the answer span
         if think_m is None or think_m.end() > answer_m.start():
             well_formed = False
-    return TaggedOutput(think=think, answer=answer, well_formed=well_formed)
+    return TaggedOutput(output, think, answer, well_formed)

@@ -33,9 +33,9 @@ from .policy import (
     grpo_objective,
     kl_penalty,
     sample_group,
-    sft_loss,
 )
 from .rewards import RewardBreakdown, RewardConfig, process_reward, total_reward
+from .tags import parse_tags
 
 TAG_TOKENS = ("<think>", "</think>", "<answer>", "</answer>")
 EOS_TOKEN = "<eos>"
@@ -124,21 +124,23 @@ class StepStats:
 def train_sft(
     policy: ToyPolicy, corpus: Corpus, cfg: SftConfig
 ) -> tuple[ToyPolicy, list[StepStats]]:
-    """Full-batch gradient descent on the mean SFT loss."""
+    """Full-batch gradient descent on the mean SFT loss: every step scores
+    all targets under one snapshot and descends along one scatter of their
+    gradients. The targets' rows do not depend on theta, so they are
+    encoded once, for the whole run."""
     if len(corpus) == 0:
         raise PresetError("sft stage: empty corpus")
     batches = make_sft_batches(corpus)
     policy = policy.copy()
+    n = len(batches)
+    windows = Windows(policy, [b.prompt_key for b in batches])
+    tokens = windows.encode([b.target for b in batches], np.arange(n))
     stats = []
     for step in range(cfg.steps):
-        total_loss = 0.0
-        grad = np.zeros_like(policy.theta)
-        for b in batches:
-            loss, g = sft_loss(policy, b)
-            total_loss += loss
-            grad += g
-        total_loss /= len(batches)
-        grad /= len(batches)
+        snap = policy.snapshot()
+        # minus each target's log-prob, summed in target order
+        total_loss = sum((-snap.sequence_log_probs(tokens)).tolist()) / n
+        grad = snap.scatter_grad(tokens, np.full(n, -1.0)) / n
         policy.theta = policy.theta - cfg.learning_rate * grad
         stats.append(StepStats(step=step, stage="sft", loss=total_loss))
     return policy, stats
@@ -147,12 +149,11 @@ def train_sft(
 def _group_rewards(
     outputs: tuple[tuple[str, ...], ...],
     sample: VqaSample,
-    part: PartitionTag,
     reward_cfg: RewardConfig,
     eos_token: str,
 ) -> list[RewardBreakdown]:
     return [
-        total_reward(detokenize(o, eos_token), sample, part, reward_cfg)
+        total_reward(detokenize(o, eos_token), sample, config=reward_cfg)
         for o in outputs
     ]
 
@@ -171,7 +172,9 @@ def _probe_factuality(
     group_size = len(batch.outputs) // len(probe_samples)
     values = [
         process_reward(
-            detokenize(o, policy.eos_token), probe_samples[k // group_size], matcher
+            parse_tags(detokenize(o, policy.eos_token)),
+            probe_samples[k // group_size],
+            matcher,
         )
         for k, o in enumerate(batch.outputs)
     ]
@@ -247,11 +250,7 @@ def train_grpo(
         batch = sample_group(policy_old, windows, uniforms)
         groups = [
             _group_rewards(
-                batch.outputs[j * G : (j + 1) * G],
-                sample,
-                sample.partition,
-                reward_cfg,
-                policy.eos_token,
+                batch.outputs[j * G : (j + 1) * G], sample, reward_cfg, policy.eos_token
             )
             for j, sample in enumerate(samples)
         ]

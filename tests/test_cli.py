@@ -29,6 +29,28 @@ def test_backend_choices():
     assert set(backend.choices) == {"remote", "mock", "cache-only"}
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--workers", "0", "mine", "corpus.jsonl", "--out", "run"], "--workers"),
+        (["--workers", "-2", "score", "c.jsonl", "o.jsonl", "--out", "s"], "--workers"),
+        (["eval", "scores.jsonl", "--resamples", "0"], "--resamples"),
+        (["eval", "scores.jsonl", "--resamples", "-3"], "--resamples"),
+    ],
+)
+def test_counts_below_one_refused_by_parser(argv, flag, capsys):
+    # parsing only: a zero worker count would hang `mine` on its semaphore
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_counts_of_one_accepted_by_parser():
+    args = build_parser().parse_args(["--workers", "1", "eval", "s", "--resamples", "1"])
+    assert (args.workers, args.resamples) == (1, 1)
+
+
 def test_missing_config_is_fatal(tmp_path, data_dir):
     rc = main(
         [

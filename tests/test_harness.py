@@ -42,6 +42,11 @@ class TestBootstrapCi:
         with pytest.raises(ValueError):
             bootstrap_ci([])
 
+    @pytest.mark.parametrize("resamples", [0, -3])
+    def test_resamples_below_one_rejected(self, resamples):
+        with pytest.raises(ValueError, match="resamples"):
+            bootstrap_ci([0.1, 0.2], resamples=resamples)
+
     @pytest.mark.parametrize("chunk", [1, 7, 49, 50, 333])
     @pytest.mark.parametrize("shape", [(1,), (49,), (50, 3)])
     def test_chunked_index_gives_the_one_draw_intervals(self, monkeypatch, chunk, shape):

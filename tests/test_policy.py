@@ -47,8 +47,8 @@ def finite_difference(fn, theta, h=1e-5):
 class TestToyPolicy:
     def test_log_probs_normalize(self):
         policy = random_policy(np.random.default_rng(0))
-        for b in range(policy.n_contexts):
-            assert abs(np.exp(policy.log_probs_at(b)).sum() - 1.0) < 1e-12
+        for row in policy.snapshot().log_probs:
+            assert abs(np.exp(row).sum() - 1.0) < 1e-12
 
     def test_unknown_token_rejected(self):
         policy = ToyPolicy.uniform(VOCAB)
@@ -60,20 +60,9 @@ class TestToyPolicy:
             ToyPolicy.uniform(("a", "b"))
 
     def test_context_size_must_be_positive(self):
-        # a window of 0 tokens would be the whole prefix to `bucket`
+        # a window of 0 tokens would be the whole prefix: tokens[-0:]
         with pytest.raises(ValueError, match="context_size"):
             ToyPolicy.uniform(VOCAB, context_size=0)
-
-    def test_log_prob_is_sum_of_steps(self):
-        policy = random_policy(np.random.default_rng(1))
-        tokens = ("a", "b", "<eos>")
-        manual = sum(
-            policy.log_probs_at(policy.bucket("p", tokens[:t]))[
-                policy.token_index(tok)
-            ]
-            for t, tok in enumerate(tokens)
-        )
-        assert abs(policy.log_prob("p", tokens) - manual) < 1e-12
 
     def test_sampling_deterministic_for_seed(self):
         policy = random_policy(np.random.default_rng(2))
@@ -90,8 +79,7 @@ class TestToyPolicy:
 
     def test_first_token_frequencies_match_probs(self):
         policy = random_policy(np.random.default_rng(4))
-        b = policy.bucket("p", ())
-        probs = policy.snapshot().probs[b]
+        probs = policy.snapshot().probs[reference_row(policy, "p", ())]
         rng = np.random.default_rng(7)
         n = 4000
         counts = np.zeros(len(VOCAB))
@@ -104,22 +92,32 @@ class TestToyPolicy:
 
     def test_entropy_gradient_matches_fd(self):
         policy = random_policy(np.random.default_rng(5))
-        _, row = _entropy_with_grad(policy.log_probs_at(3))
+        _, row = _entropy_with_grad(reference_row_log_probs(policy, 3))
         grad = np.zeros_like(policy.theta)
         grad[3] = row
         fd = finite_difference(
-            lambda: float(_entropy_with_grad(policy.log_probs_at(3))[0]), policy.theta
+            lambda: float(_entropy_with_grad(reference_row_log_probs(policy, 3))[0]),
+            policy.theta,
         )
         assert np.max(np.abs(grad - fd)) < 1e-7
 
 
-def reference_log_probs(policy, prompt_key, prev_tokens):
-    """Row-wise log-softmax of the context row, hashed from the whole key."""
+def reference_row(policy, prompt_key, prev_tokens):
+    """Row of the context, hashed from the whole key."""
     window = tuple(prev_tokens)[-policy.context_size:]
     key = prompt_key + "\x1f" + "\x1f".join(window)
-    row = policy.theta[zlib.crc32(key.encode("utf-8")) % policy.n_contexts]
-    shifted = row - row.max()
+    return zlib.crc32(key.encode("utf-8")) % policy.n_contexts
+
+
+def reference_row_log_probs(policy, row):
+    """Log-softmax of one row of theta."""
+    shifted = policy.theta[row] - policy.theta[row].max()
     return shifted - np.log(np.exp(shifted).sum())
+
+
+def reference_log_probs(policy, prompt_key, prev_tokens):
+    row = reference_row(policy, prompt_key, prev_tokens)
+    return reference_row_log_probs(policy, row)
 
 
 def reference_sample(policy, prompt_key, rng):
@@ -277,14 +275,6 @@ class TestSft:
         fd = finite_difference(lambda: sft_loss(policy, batch)[0], policy.theta)
         assert np.max(np.abs(grad - fd)) < 1e-6
 
-    def test_mask_excludes_tokens(self):
-        policy = random_policy(np.random.default_rng(7))
-        full = SftBatch("p", ("a", "b"), mask=(True, True))
-        masked = SftBatch("p", ("a", "b"), mask=(True, False))
-        l_full, _ = sft_loss(policy, full)
-        l_masked, _ = sft_loss(policy, masked)
-        assert l_masked < l_full
-
     def test_empty_target_rejected(self):
         with pytest.raises(ValueError):
             SftBatch("p", ())
@@ -344,14 +334,15 @@ class TestKl:
         rng = np.random.default_rng(8)
         old = random_policy(rng, max_length=1)
         new = random_policy(rng, max_length=1)
-        b = old.bucket("p", ())
+        b = reference_row(old, "p", ())
         p_old = old.snapshot().probs[b]
         expected = 0.0
         for tok in VOCAB:
             lp_o = old.log_prob("p", (tok,))
             lp_n = new.log_prob("p", (tok,))
             expected += math.exp(lp_o) * kl_penalty(lp_o, lp_n, "log_ratio")
-        exact = float(np.sum(p_old * (old.log_probs_at(b) - new.log_probs_at(b))))
+        lp_old, lp_new = reference_row_log_probs(old, b), reference_row_log_probs(new, b)
+        exact = float(np.sum(p_old * (lp_old - lp_new)))
         assert abs(expected - exact) < 1e-12
         assert exact >= 0
 
@@ -415,7 +406,7 @@ def make_group(seed, group_size=4):
 class TestGrpoObjective:
     def test_requires_filled_batch(self):
         policy, policy_old, batch = make_group(0)
-        empty = GroupBatch(batch.windows, batch.outputs, batch.logp_old)
+        empty = GroupBatch(batch.windows, batch.outputs, batch.logp_old, batch.tokens)
         with pytest.raises(ValueError, match="rewards"):
             grpo_objective(policy, empty, GrpoConfig())
 
@@ -461,12 +452,14 @@ class TestGrpoObjective:
         policy = policy_old.copy()
         output = ("a", "<eos>")
         for t in range(len(output)):
-            b = policy.bucket("p", output[:t])
+            b = reference_row(policy, "p", output[:t])
             policy.theta[b, policy.token_index(output[t])] += 5.0
+        windows = Windows(policy, ["p"])
         batch = GroupBatch(
-            windows=Windows(policy, ["p"]),
+            windows=windows,
             outputs=(output,),
             logp_old=np.array([policy_old.log_prob("p", output)]),
+            tokens=windows.encode((output,), np.zeros(1, dtype=np.intp)),
             rewards=np.array([1.0]),
             advantages=np.array([1.0]),
         )
@@ -585,18 +578,21 @@ class TestLockstepStep:
         )
         value, grad = grpo_objective(policy, batch, cfg)
         G = 3
-        groups = [
-            grpo_objective(
-                policy,
-                GroupBatch(
-                    windows=Windows(policy, [prompt]),
-                    outputs=batch.outputs[j * G : (j + 1) * G],
-                    logp_old=batch.logp_old[j * G : (j + 1) * G],
-                    rewards=batch.rewards[j * G : (j + 1) * G],
-                    advantages=batch.advantages[j * G : (j + 1) * G],
-                ),
-                cfg,
+
+        def one_group(j, prompt):
+            windows = Windows(policy, [prompt])
+            outputs = batch.outputs[j * G : (j + 1) * G]
+            return GroupBatch(
+                windows=windows,
+                outputs=outputs,
+                logp_old=batch.logp_old[j * G : (j + 1) * G],
+                tokens=windows.encode(outputs, np.zeros(G, dtype=np.intp)),
+                rewards=batch.rewards[j * G : (j + 1) * G],
+                advantages=batch.advantages[j * G : (j + 1) * G],
             )
+
+        groups = [
+            grpo_objective(policy, one_group(j, prompt), cfg)
             for j, prompt in enumerate(batch.windows.prompt_keys)
         ]
         assert abs(value - np.mean([v for v, _ in groups])) < 1e-12
@@ -611,16 +607,18 @@ class TestLockstepStep:
             "q": (("a", "b", "<eos>"), ("c",)),
         }
         visited = {
-            k: {policy.bucket(k, o[:t]) for o in outs for t in range(len(o))}
+            k: {reference_row(policy, k, o[:t]) for o in outs for t in range(len(o))}
             for k, outs in groups.items()
         }
         assert visited == {"p": {0, 1, 2}, "q": {1, 2}}
         snap = policy.snapshot()
         outputs = groups["p"] + groups["q"]
+        windows = Windows(policy, tuple(groups))
         batch = GroupBatch(
-            windows=Windows(policy, tuple(groups)),
+            windows=windows,
             outputs=outputs,
             logp_old=np.array([snap.log_prob(k, o) for k in groups for o in groups[k]]),
+            tokens=windows.encode(outputs, np.repeat(np.arange(2), 2)),
             rewards=np.zeros(4),
             advantages=np.zeros(4),
         )
@@ -629,7 +627,7 @@ class TestLockstepStep:
         expected_value, expected = 0.0, np.zeros_like(policy.theta)
         for rows in visited.values():
             for b in rows:
-                h, gh = _entropy_with_grad(policy.log_probs_at(b))
+                h, gh = _entropy_with_grad(reference_row_log_probs(policy, b))
                 expected_value += 0.5 * float(h) / len(rows) / 2
                 expected[b] += 0.5 * gh / len(rows) / 2
         assert abs(value - expected_value) < 1e-12

@@ -10,6 +10,7 @@ from radreason.rewards import (
     process_reward,
     total_reward,
 )
+from radreason.tags import parse_tags
 
 R = PartitionTag.REASONING_AUGMENTED
 A = PartitionTag.ANSWER_ONLY
@@ -38,27 +39,27 @@ def reasoning_sample(**overrides):
 
 class TestFormatReward:
     def test_answer_only_partition(self):
-        assert format_reward("<answer>A</answer>", A) == 1
-        assert format_reward("A", A) == 0
-        assert format_reward("<think>t</think><answer>A</answer>", A) == 1
+        assert format_reward(parse_tags("<answer>A</answer>"), A) == 1
+        assert format_reward(parse_tags("A"), A) == 0
+        assert format_reward(parse_tags("<think>t</think><answer>A</answer>"), A) == 1
 
     def test_reasoning_partition_requires_think(self):
-        assert format_reward("<answer>A</answer>", R) == 0
-        assert format_reward("<think>t</think><answer>A</answer>", R) == 1
+        assert format_reward(parse_tags("<answer>A</answer>"), R) == 0
+        assert format_reward(parse_tags("<think>t</think><answer>A</answer>"), R) == 1
 
     def test_order_and_closure_enforced(self):
-        assert format_reward("<answer>A</answer><think>t</think>", R) == 0
-        assert format_reward("<think>t<answer>A</answer>", R) == 0
+        assert format_reward(parse_tags("<answer>A</answer><think>t</think>"), R) == 0
+        assert format_reward(parse_tags("<think>t<answer>A</answer>"), R) == 0
 
 
 class TestOutcomeReward:
     def test_label_match(self):
-        assert outcome_reward("<answer>A</answer>", make_sample()) == 1.0
-        assert outcome_reward("<answer> a </answer>", make_sample()) == 1.0
-        assert outcome_reward("<answer>B</answer>", make_sample()) == 0.0
+        assert outcome_reward(parse_tags("<answer>A</answer>"), make_sample()) == 1.0
+        assert outcome_reward(parse_tags("<answer> a </answer>"), make_sample()) == 1.0
+        assert outcome_reward(parse_tags("<answer>B</answer>"), make_sample()) == 0.0
 
     def test_option_text_match(self):
-        assert outcome_reward("<answer>yes</answer>", make_sample()) == 1.0
+        assert outcome_reward(parse_tags("<answer>yes</answer>"), make_sample()) == 1.0
 
     def test_leading_label_match(self):
         s = make_sample(
@@ -66,21 +67,22 @@ class TestOutcomeReward:
             options=(Option("A", "edema"), Option("B", "atelectasis")),
             answer="B",
         )
-        assert outcome_reward("<answer>B) atelectasis</answer>", s) == 1.0
-        assert outcome_reward("<answer>A) edema</answer>", s) == 0.0
+        assert outcome_reward(parse_tags("<answer>B) atelectasis</answer>"), s) == 1.0
+        assert outcome_reward(parse_tags("<answer>A) edema</answer>"), s) == 0.0
 
     def test_missing_answer_tag_scores_zero(self):
-        assert outcome_reward("no tags here", make_sample()) == 0.0
+        assert outcome_reward(parse_tags("no tags here"), make_sample()) == 0.0
 
     def test_open_ended_requires_scorer(self):
         s = make_sample(task=TaskType.ANOMALY_DETECTION, options=(), answer="edema")
         with pytest.raises(RewardConfigError):
-            outcome_reward("<answer>edema</answer>", s)
+            outcome_reward(parse_tags("<answer>edema</answer>"), s)
 
     def test_open_ended_scorer_clamped(self):
         s = make_sample(task=TaskType.ANOMALY_DETECTION, options=(), answer="edema")
-        assert outcome_reward("<answer>x</answer>", s, lambda p, r: 2.5) == 1.0
-        assert outcome_reward("<answer>x</answer>", s, lambda p, r: -1.0) == 0.0
+        tagged = parse_tags("<answer>x</answer>")
+        assert outcome_reward(tagged, s, lambda p, r: 2.5) == 1.0
+        assert outcome_reward(tagged, s, lambda p, r: -1.0) == 0.0
 
 
 class TestEntityF1:
@@ -104,25 +106,25 @@ class TestProcessReward:
     def test_factual_think(self, matcher):
         s = reasoning_sample()
         out = "<think>There is a pleural effusion.</think><answer>A</answer>"
-        assert process_reward(out, s, matcher) == 1.0
+        assert process_reward(parse_tags(out), s, matcher) == 1.0
 
     def test_hallucinated_think(self, matcher):
         s = reasoning_sample()
         out = "<think>rib fracture</think><answer>A</answer>"
-        assert process_reward(out, s, matcher) == 0.0
+        assert process_reward(parse_tags(out), s, matcher) == 0.0
 
     def test_leniency_for_normal_findings(self, matcher):
         s = reasoning_sample()
         out = "<think>pleural effusion. no pneumothorax.</think><answer>A</answer>"
-        assert process_reward(out, s, matcher) == 1.0
+        assert process_reward(parse_tags(out), s, matcher) == 1.0
 
     def test_empty_think_scores_zero(self, matcher):
         s = reasoning_sample()
-        assert process_reward("<answer>A</answer>", s, matcher) == 0.0
+        assert process_reward(parse_tags("<answer>A</answer>"), s, matcher) == 0.0
 
     def test_requires_report(self, matcher):
         with pytest.raises(ValueError):
-            process_reward("<think>t</think>", make_sample(), matcher)
+            process_reward(parse_tags("<think>t</think>"), make_sample(), matcher)
 
 
 class TestTotalReward:

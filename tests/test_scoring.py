@@ -18,6 +18,7 @@ from radreason.scoring import (
     model_reasoning_text,
     score_sample,
 )
+from radreason.tags import parse_tags
 
 
 def obs(phrases, role=Role.MODEL):
@@ -81,10 +82,11 @@ def test_combined_score_is_arithmetic_mean(vals):
 
 class TestModelReasoningText:
     def test_think_content_preferred(self):
-        assert model_reasoning_text("<think>x</think><answer>A</answer>") == "x"
+        tagged = parse_tags("<think>x</think><answer>A</answer>")
+        assert model_reasoning_text(tagged) == "x"
 
     def test_untagged_output_used_whole(self):
-        assert model_reasoning_text("plain reasoning") == "plain reasoning"
+        assert model_reasoning_text(parse_tags("plain reasoning")) == "plain reasoning"
 
 
 def make_scorable(**overrides):
@@ -109,24 +111,25 @@ class TestScoreSample:
     def test_perfect_echo(self, matcher):
         s = make_scorable()
         out = f"<think>{s.reasoning}</think><answer>A</answer>"
-        scores = score_sample(s, out, matcher)
+        scores = score_sample(s, parse_tags(out), matcher)
         assert scores.r_f == scores.r_c == scores.r_e == 1.0
         assert not scores.degenerate
 
     def test_empty_think_is_degenerate(self, matcher):
         s = make_scorable()
-        scores = score_sample(s, "<think>  </think><answer>A</answer>", matcher)
+        tagged = parse_tags("<think>  </think><answer>A</answer>")
+        scores = score_sample(s, tagged, matcher)
         assert scores.r_f == 0.0
         assert scores.degenerate
 
     def test_requires_report_and_reasoning(self, matcher):
         bare = make_scorable(report="", reasoning="")
         with pytest.raises(NotScorableError):
-            score_sample(bare, "<answer>A</answer>", matcher)
+            score_sample(bare, parse_tags("<answer>A</answer>"), matcher)
 
     def test_empty_output_rejected(self, matcher):
         with pytest.raises(ValueError):
-            score_sample(make_scorable(), "", matcher)
+            score_sample(make_scorable(), parse_tags(""), matcher)
 
 
 PHRASES = [

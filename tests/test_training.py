@@ -3,7 +3,7 @@ import pytest
 
 from radreason.core import PartitionTag, PromptMode
 from radreason import training
-from radreason.policy import GrpoConfig, group_uniforms
+from radreason.policy import GrpoConfig, group_uniforms, sft_loss
 from radreason.rewards import RewardConfig
 from radreason.training import (
     EOS_TOKEN,
@@ -13,6 +13,7 @@ from radreason.training import (
     build_vocab,
     detokenize,
     load_checkpoint,
+    make_sft_batches,
     make_toy_corpus,
     make_toy_policy,
     prompt_mode_for,
@@ -94,6 +95,17 @@ class TestSftStage:
         losses = [s.loss for s in stats]
         assert losses[-1] < losses[0]
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
+
+    def test_step_is_mean_of_target_losses(self, corpus):
+        # 4 rows for 8 targets: targets share rows, so the batched scatter
+        # sums gradients where rows collide
+        policy = make_toy_policy(corpus, n_contexts=4)
+        policy.theta = np.random.default_rng(3).normal(size=policy.theta.shape)
+        trained, stats = train_sft(policy, corpus, SftConfig(steps=1, learning_rate=1.0))
+        per_target = [sft_loss(policy, b) for b in make_sft_batches(corpus)]
+        assert abs(stats[0].loss - np.mean([loss for loss, _ in per_target])) < 1e-12
+        mean_grad = np.mean([grad for _, grad in per_target], axis=0)
+        assert np.max(np.abs(policy.theta - trained.theta - mean_grad)) < 1e-12
 
     def test_original_policy_untouched(self, corpus):
         policy = make_toy_policy(corpus)
