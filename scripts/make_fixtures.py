@@ -9,13 +9,12 @@ against their report, one chain hallucinates a finding (factuality reject),
 and one sample gets a plan response that lists no steps (plan-stage reject).
 """
 
-import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from radreason.core import Corpus, Option, TaskType, VqaSample, save_corpus
+from radreason.core import Corpus, Option, TaskType, VqaSample, save_corpus, write_jsonl
 from radreason.llm import render_template
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "tests" / "data"
@@ -303,9 +302,7 @@ def main() -> None:
     DATA_DIR.mkdir(parents=True, exist_ok=True)
     samples = fixture_samples()
     save_corpus(Corpus(tuple(samples)), DATA_DIR / "fixture_corpus.jsonl")
-    with (DATA_DIR / "mining_fixture.jsonl").open("w", encoding="utf-8") as fh:
-        for rec in build_fixture_records(samples):
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_jsonl(DATA_DIR / "mining_fixture.jsonl", build_fixture_records(samples))
     print(f"wrote fixtures to {DATA_DIR}")
 
 

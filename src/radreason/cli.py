@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from .core import load_corpus
+from .core import load_corpus, write_json
 from .harness import (
     EXIT_FATAL,
     EXIT_OK,
@@ -162,10 +162,7 @@ def main(argv: list[str] | None = None) -> int:
             report = cmd_eval(args.records, resamples=args.resamples, seed=args.seed)
             sys.stdout.write(report.render_table())
             if args.out:
-                Path(args.out).write_text(
-                    json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8",
-                )
+                write_json(args.out, report.as_dict())
             return EXIT_OK
 
         if args.command == "train-toy":
@@ -177,8 +174,9 @@ def main(argv: list[str] | None = None) -> int:
             for name, section in sections.items():
                 if not isinstance(section, dict):
                     raise ValueError(f"config: section {name!r} is not a JSON object")
-            grpo_kwargs = {**vars(toy_grpo_config()), **sections["grpo"]}
-            grpo_kwargs["seed"] = args.seed
+            if "seed" in sections["grpo"]:
+                raise ValueError("config: section 'grpo' cannot set 'seed'; --seed sets it")
+            grpo_kwargs = {**vars(toy_grpo_config(seed=args.seed)), **sections["grpo"]}
             if args.steps is not None:
                 grpo_kwargs["steps"] = args.steps
             if args.lr is not None:
@@ -194,7 +192,6 @@ def main(argv: list[str] | None = None) -> int:
                 out_dir=args.out,
                 sft_cfg=sft_cfg,
                 grpo_cfg=grpo_cfg,
-                seed=args.seed,
             )
             print(f"checkpoint written to {checkpoint}")
             return EXIT_OK

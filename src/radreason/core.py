@@ -214,6 +214,20 @@ def read_jsonl(
             yield lineno, rec, reason
 
 
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """Write records as JSON Lines, one sorted-key object per line: the
+    serialization of every JSON Lines file radreason writes."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write one JSON document with sorted keys, indent 2 and a final newline:
+    the serialization of every JSON document radreason writes."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
 def load_corpus(path: str | Path, provenance: str = "") -> Corpus:
     """Load a line-delimited corpus file, validating every record. A
     malformed record raises CorpusError located as `path:line: reason`."""
@@ -234,10 +248,7 @@ def load_corpus(path: str | Path, provenance: str = "") -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for s in corpus.samples:
-            fh.write(json.dumps(sample_to_record(s), sort_keys=True) + "\n")
+    write_jsonl(path, map(sample_to_record, corpus.samples))
 
 
 def partition(corpus: Corpus) -> tuple[Corpus, Corpus]:

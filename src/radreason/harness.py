@@ -1,7 +1,8 @@
 """Batch drivers: scoring, evaluation with bootstrap CIs, mining, toy training.
 
-All outputs are sorted by sample id and serialized canonically so runs are
-byte-identical across repeats and worker counts.
+All outputs are sorted by sample id and written by `core.write_jsonl` /
+`core.write_json`, so runs are byte-identical across repeats and worker
+counts.
 """
 
 from __future__ import annotations
@@ -10,14 +11,13 @@ import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import __version__
-from .core import Corpus, read_jsonl
+from .core import Corpus, read_jsonl, write_json, write_jsonl
 from .llm import CompletionClient, load_template
 from .mining import (
     BenchmarkBundle,
@@ -30,7 +30,7 @@ from .mining import (
 )
 from .observations import LexicalMatcher
 from .policy import GrpoConfig
-from .rewards import entity_f1, format_reward, outcome_reward
+from .rewards import format_reward, outcome_reward
 from .scoring import NotScorableError, score_sample
 from .tags import parse_tags
 from .training import SftConfig, make_toy_policy, run_preset, save_checkpoint
@@ -96,9 +96,7 @@ def write_manifest(out_dir: Path, config: dict, seed: int, matcher=None) -> None
         "seed": seed,
         "versions": versions,
     }
-    (out_dir / "run_manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(out_dir / "run_manifest.json", manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +111,9 @@ def cmd_score(
 ) -> tuple[int, list[dict]]:
     """Score model outputs (JSONL: {"id", "output"}) against the corpus.
 
-    Emits one record per output, sorted by sample id; malformed lines and
-    unresolvable or unscorable ids are collected as errors, located by line
+    Emits one record per output, sorted by sample id; malformed lines,
+    unknown ids and unscorable outputs (a sample without report or
+    reasoning, an empty output) are collected as errors, located by line
     and sorted by (id, line), and the run continues. An output's tags are
     parsed once, for its scores and its rewards.
     """
@@ -126,7 +125,6 @@ def cmd_score(
         else:
             rows.append((lineno, sample_id, str(rec["output"])))
     by_id = {s.id: s for s in corpus.samples}
-    open_scorer = partial(entity_f1, matcher=matcher)
 
     def _one(row):
         lineno, sample_id, output = row
@@ -141,9 +139,9 @@ def cmd_score(
         record = {
             "id": sample_id,
             "task": sample.task.value,
-            **scores.as_record(),
+            **vars(scores),
             "format": format_reward(tagged, sample.partition),
-            "outcome": outcome_reward(tagged, sample, open_scorer),
+            "outcome": outcome_reward(tagged, sample, matcher),
         }
         return record, None
 
@@ -157,11 +155,7 @@ def cmd_score(
     errors = sorted(
         [e for _, e in results if e] + bad_lines, key=lambda e: (e["id"] or "", e["line"])
     )
-    with Path(out_path).open("w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        for err in errors:
-            fh.write(json.dumps({"error_record": err}, sort_keys=True) + "\n")
+    write_jsonl(out_path, [*records, *({"error_record": e} for e in errors)])
     return len(records), errors
 
 
@@ -177,6 +171,7 @@ class EvalReport:
     counts: dict[str, int]
     seed: int
     config_hash: str
+    resamples: int
 
     def as_dict(self) -> dict:
         return {
@@ -184,7 +179,7 @@ class EvalReport:
             "counts": self.counts,
             "seed": self.seed,
             "config_hash": self.config_hash,
-            "ci_method": "percentile bootstrap, 1000 resamples",
+            "ci_method": f"percentile bootstrap, {self.resamples} resamples",
         }
 
     def render_table(self) -> str:
@@ -268,6 +263,7 @@ def cmd_eval(
         counts=counts,
         seed=seed,
         config_hash=config_hash({"resamples": resamples, "seed": seed}),
+        resamples=resamples,
     )
 
 
@@ -314,12 +310,8 @@ def cmd_compile(
     bundle = compile_benchmark(
         balanced, kept, out_dir, seed=seed, threshold=threshold
     )
-    with (out_dir / "chains.jsonl").open("w", encoding="utf-8") as fh:
-        for c in kept:
-            fh.write(json.dumps(c.as_record(), sort_keys=True) + "\n")
-    with (out_dir / "rejections.jsonl").open("w", encoding="utf-8") as fh:
-        for r in rejections:
-            fh.write(json.dumps(r.as_record(), sort_keys=True) + "\n")
+    write_jsonl(out_dir / "chains.jsonl", (c.as_record() for c in kept))
+    write_jsonl(out_dir / "rejections.jsonl", map(vars, rejections))
     return bundle, len(rejections)
 
 
@@ -332,9 +324,9 @@ def cmd_train_toy(
     out_dir: str | Path,
     sft_cfg: SftConfig,
     grpo_cfg: GrpoConfig,
-    seed: int = 0,
 ) -> Path:
-    """Run an ablation preset and write checkpoint + per-step stats."""
+    """Run an ablation preset, seeded by `grpo_cfg.seed`, and write
+    checkpoint + per-step stats."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     policy = make_toy_policy(corpus, n_contexts=256)
@@ -342,13 +334,11 @@ def cmd_train_toy(
     cfg_dict = {
         "preset": preset,
         "sft": vars(sft_cfg),
-        "grpo": {k: v for k, v in vars(grpo_cfg).items()},
-        "seed": seed,
+        "grpo": vars(grpo_cfg),
+        "seed": grpo_cfg.seed,
     }
     checkpoint = out_dir / "checkpoint.npz"
     save_checkpoint(trained, checkpoint, config_hash=config_hash(cfg_dict))
-    with (out_dir / "stats.jsonl").open("w", encoding="utf-8") as fh:
-        for s in stats:
-            fh.write(json.dumps(s.as_record(), sort_keys=True) + "\n")
-    write_manifest(out_dir, cfg_dict, seed)
+    write_jsonl(out_dir / "stats.jsonl", map(vars, stats))
+    write_manifest(out_dir, cfg_dict, grpo_cfg.seed)
     return checkpoint

@@ -8,7 +8,6 @@ completion (backend or cache) aborts the batch.
 
 from __future__ import annotations
 
-import json
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -25,6 +24,8 @@ from .core import (
     label_by_answer,
     read_jsonl,
     sample_to_record,
+    write_json,
+    write_jsonl,
 )
 from .llm import CompletionClient, render_template
 from .observations import ExtractionError, MatchError, Role
@@ -202,9 +203,6 @@ class Rejection:
     stage: str
     reason: str
 
-    def as_record(self) -> dict:
-        return {"sample_id": self.sample_id, "stage": self.stage, "reason": self.reason}
-
 
 def mine_corpus(
     corpus: Corpus, client: CompletionClient, matcher, workers: int = 1
@@ -332,10 +330,7 @@ def compile_benchmark(
 
     for (split, part), records in buckets.items():
         records.sort(key=lambda r: r["id"])
-        path = out_dir / f"{split}_{part}.jsonl"
-        with path.open("w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        write_jsonl(out_dir / f"{split}_{part}.jsonl", records)
 
     manifest = {
         "counts": {
@@ -353,7 +348,5 @@ def compile_benchmark(
         "label_scheme": "per-combination (full option combination is the label)",
         "seed": seed,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(out_dir / "manifest.json", manifest)
     return BenchmarkBundle(directory=out_dir, manifest=manifest)

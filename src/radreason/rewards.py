@@ -7,19 +7,12 @@ an additional process-factuality component. Components are summed unweighted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
 from .core import CLOSE_ENDED_TASKS, PartitionTag, VqaSample
 from .observations import LexicalMatcher, Role
 from .scoring import factuality
 from .tags import TaggedOutput, parse_tags
-
-OpenScorer = Callable[[str, str], float]
-
-
-class RewardConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -28,14 +21,6 @@ class RewardBreakdown:
     outcome: float  # in [0, 1]
     process: float  # in [0, 1]; 0 for answer-only samples
     total: float
-
-    def as_record(self) -> dict:
-        return {
-            "format": self.format,
-            "outcome": self.outcome,
-            "process": self.process,
-            "total": self.total,
-        }
 
 
 def format_reward(tagged: TaggedOutput, partition: PartitionTag) -> int:
@@ -84,21 +69,14 @@ def entity_f1(prediction: str, reference: str, matcher=None) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def outcome_reward(
-    tagged: TaggedOutput, sample: VqaSample, open_scorer: Optional[OpenScorer] = None
-) -> float:
-    """Exact label match for close-ended tasks; pluggable similarity scorer
+def outcome_reward(tagged: TaggedOutput, sample: VqaSample, matcher) -> float:
+    """Exact label match for close-ended tasks; `entity_f1` under `matcher`
     for open-ended generation. Missing answer tag scores 0."""
     if tagged.answer is None:
         return 0.0
     if sample.task in CLOSE_ENDED_TASKS:
         return _match_close_ended(tagged.answer, sample)
-    if open_scorer is None:
-        raise RewardConfigError(
-            "open-ended outcome reward requires an open_scorer (e.g. entity_f1)"
-        )
-    value = open_scorer(tagged.answer, sample.answer)
-    return min(1.0, max(0.0, float(value)))
+    return entity_f1(tagged.answer, sample.answer, matcher)
 
 
 def process_reward(tagged: TaggedOutput, sample: VqaSample, matcher) -> float:
@@ -138,7 +116,7 @@ def total_reward(
         raise ValueError(f"sample {sample.id}: partition undefined (mixed sample)")
     tagged = parse_tags(output)
     fmt = float(format_reward(tagged, partition))
-    outcome = outcome_reward(tagged, sample, partial(entity_f1, matcher=config.matcher))
+    outcome = outcome_reward(tagged, sample, config.matcher)
     process = 0.0
     if partition is PartitionTag.REASONING_AUGMENTED and config.use_process_reward:
         process = process_reward(tagged, sample, config.matcher)

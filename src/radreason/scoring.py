@@ -16,7 +16,8 @@ from .tags import TaggedOutput
 
 
 class NotScorableError(ValueError):
-    """Sample lacks the report/reasoning needed for scoring."""
+    """Sample lacks the report/reasoning needed for scoring, or the model
+    output is empty."""
 
 
 @dataclass(frozen=True)
@@ -36,16 +37,6 @@ class ReasoningScores:
     radrscore: float
     counts: dict
     degenerate: bool
-
-    def as_record(self) -> dict:
-        return {
-            "r_f": self.r_f,
-            "r_c": self.r_c,
-            "r_e": self.r_e,
-            "radrscore": self.radrscore,
-            "counts": dict(self.counts),
-            "degenerate": self.degenerate,
-        }
 
 
 def _ratio(numerator: int, denominator: int) -> tuple[float, bool]:
@@ -110,13 +101,14 @@ def model_reasoning_text(tagged: TaggedOutput) -> str:
 
 def score_sample(sample: VqaSample, tagged: TaggedOutput, matcher) -> ReasoningScores:
     """Score one parsed model output against the sample's report and mined
-    reasoning."""
+    reasoning. Raises NotScorableError when the sample lacks either, or when
+    the output is empty."""
     if not sample.report or not sample.reasoning:
         raise NotScorableError(
             f"sample {sample.id}: scoring requires both report and reasoning"
         )
     if not tagged.text:
-        raise ValueError("model output must be non-empty")
+        raise NotScorableError("model output must be non-empty")
     think = model_reasoning_text(tagged)
     if think.strip():
         obs_model = matcher.extract(think, Role.MODEL)

@@ -117,9 +117,6 @@ class StepStats:
     # share of groups whose rewards were all equal: zero advantage, no signal
     zero_advantage_share: Optional[float] = None
 
-    def as_record(self) -> dict:
-        return {k: v for k, v in self.__dict__.items()}
-
 
 def train_sft(
     policy: ToyPolicy, corpus: Corpus, cfg: SftConfig

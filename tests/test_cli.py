@@ -1,8 +1,12 @@
+import hashlib
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from radreason.cli import build_parser, main
+from radreason.core import write_jsonl
 
 
 @pytest.fixture()
@@ -175,6 +179,7 @@ def test_score_then_eval_round_trip(tmp_path, data_dir, mock_config, capsys):
     capsys.readouterr()
     report = json.loads(report_path.read_text(encoding="utf-8"))
     assert report["rows"]["overall_samples"]["radrscore"]["mean"] == 1.0
+    assert report["ci_method"] == "percentile bootstrap, 100 resamples"
 
 
 BUNDLE_FILES = (
@@ -318,6 +323,9 @@ _MALFORMED = [
                  "config: section 'grpo' is not a JSON object", id="train-config-grpo"),
     pytest.param("train-config", b'{"sft": 5}',
                  "config: section 'sft' is not a JSON object", id="train-config-sft"),
+    pytest.param("train-config", b'{"grpo": {"seed": 7}}',
+                 "config: section 'grpo' cannot set 'seed'; --seed sets it",
+                 id="train-config-grpo-seed"),
 ]
 
 
@@ -341,3 +349,78 @@ def test_malformed_input_located(tmp_path, data_dir, capsys, kind, line, reason)
         assert rc == 1 and err == f"error: {reason}\n"
     else:
         assert rc == 1 and err == f"error: {bad}:2: {reason}\n"
+
+
+def test_score_records_empty_output_and_scores_the_rest(tmp_path, data_dir, mock_config):
+    bench = tmp_path / "bench"
+    main(["--config", mock_config, "mine", str(data_dir / "fixture_corpus.jsonl"),
+          "--out", str(bench)])
+    outputs, scores = tmp_path / "outputs.jsonl", tmp_path / "scores.jsonl"
+    write_jsonl(outputs, [{"id": "f002", "output": ""},
+                          {"id": "f003", "output": "<answer>A</answer>"}])
+    rc = main(["score", str(bench / "train_R.jsonl"), str(outputs), "--out", str(scores)])
+    assert rc == 2
+    scored, error = [json.loads(line) for line in scores.open(encoding="utf-8")]
+    assert scored["id"] == "f003" and scored["outcome"] == 1.0
+    assert error == {"error_record": {"id": "f002", "line": 1,
+                                      "error": "model output must be non-empty"}}
+
+
+# Model outputs for the golden run, scored against the mined `train_R.jsonl`
+# (f002-f006): a faithful chain, a partly wrong one, an open-ended answer, an
+# empty think, untagged text, an unknown non-ASCII id and a line of bad JSON.
+_GOLDEN_OUTPUTS = [
+    {"id": "f002", "output": "<think>No pleural effusion. Lungs are clear.</think><answer>B</answer>"},
+    {"id": "f003", "output": "<think>Bibasilar atelectasis. Right lower lobe pneumonia.</think>"
+                             "<answer>B</answer>"},
+    {"id": "f005", "output": "<think>Enlarged heart. No pleural effusion.</think>"
+                             "<answer>enlarged heart</answer>"},
+    {"id": "f004", "output": "<think></think><answer>A</answer>"},
+    {"id": "f006", "output": "Increasing right pleural effusion."},
+    {"id": "f9é", "output": "<answer>A</answer>"},
+]
+
+# sha256 of every file `mine`, `compile-bench`, `score` and `eval` write on the
+# bundled fixtures. Any drift in what is written or in how it is serialized
+# (key order, indent, escaping, line ends) changes a digest. `run_manifest.json`
+# also pins the package, synonym table and template versions.
+_GOLDEN = {
+    "compile-bench/chains.jsonl": "f7c563a7188f8b885aa635e52a9f91f547a12ba50168dadbfb520056d54f6cad",
+    "compile-bench/manifest.json": "dbb0014285c4a40544d12e7cf17b3f8356bf14d93c843e692fcfa29841fb50c6",
+    "compile-bench/rejections.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "compile-bench/run_manifest.json": "4faa0e7a67c5f998917e11214b4c60dcb7b3579dcbfa1ca6a9ef01952b92a193",
+    "compile-bench/test_A.jsonl": "1a60f3d1df374bb9e3f35669e2f23013e7dc5b6cb27f3be835637af7d9775571",
+    "compile-bench/test_R.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "compile-bench/train_A.jsonl": "bae5039e200a6678fe75d5c8971f2d5c6d3ca650d23398c5ff1076fb3728cac1",
+    "compile-bench/train_R.jsonl": "ecf29fa35ee39157bdd393f5eabea9b05ab9d06e5741a3085d6de7f57bd9e678",
+    "mine/chains.jsonl": "f7c563a7188f8b885aa635e52a9f91f547a12ba50168dadbfb520056d54f6cad",
+    "mine/manifest.json": "dbb0014285c4a40544d12e7cf17b3f8356bf14d93c843e692fcfa29841fb50c6",
+    "mine/rejections.jsonl": "7726823ce63eb32d483e8b1476578f1fd83d7fbfad2b88aed3370e42e540b6dd",
+    "mine/run_manifest.json": "7089640f46be4f54474bca6f939ef633d1b8fad69c83fa2ac2de558c90788b18",
+    "mine/test_A.jsonl": "1a60f3d1df374bb9e3f35669e2f23013e7dc5b6cb27f3be835637af7d9775571",
+    "mine/test_R.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "mine/train_A.jsonl": "bae5039e200a6678fe75d5c8971f2d5c6d3ca650d23398c5ff1076fb3728cac1",
+    "mine/train_R.jsonl": "ecf29fa35ee39157bdd393f5eabea9b05ab9d06e5741a3085d6de7f57bd9e678",
+    "report.json": "79230fb854d07b9f0eab933662544c524ba350a05e8aed8202f3b59b9a54941d",
+    "scores.jsonl": "3a75bdb710f1e20d9935d464218e0c98b9d83f15e6cb2d2fb3979cd8a5185e2f",
+}
+
+
+def test_outputs_match_golden_digests(tmp_path, data_dir, monkeypatch, capsys):
+    # relative paths keep the config, and so config_hash, free of tmp_path
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(data_dir / "mining_fixture.jsonl", "fixture.jsonl")
+    shutil.copy(data_dir / "fixture_corpus.jsonl", "corpus.jsonl")
+    Path("config.json").write_text('{"mock_fixture": "fixture.jsonl"}', encoding="utf-8")
+    Path("outputs.jsonl").write_text(
+        "".join(json.dumps(r) + "\n" for r in _GOLDEN_OUTPUTS) + "{bad\n", encoding="utf-8"
+    )
+    assert main(["--config", "config.json", "mine", "corpus.jsonl", "--out", "mine"]) == 2
+    assert main(["compile-bench", "corpus.jsonl", "mine/chains.jsonl",
+                 "--out", "compile-bench"]) == 0
+    assert main(["score", "mine/train_R.jsonl", "outputs.jsonl", "--out", "scores.jsonl"]) == 2
+    assert main(["eval", "scores.jsonl", "--out", "report.json"]) == 0
+    written = [*Path("mine").iterdir(), *Path("compile-bench").iterdir(),
+               Path("scores.jsonl"), Path("report.json")]
+    digests = {p.as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
+    assert digests == _GOLDEN

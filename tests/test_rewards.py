@@ -3,7 +3,6 @@ import pytest
 from radreason.core import Option, PartitionTag, TaskType, VqaSample
 from radreason.rewards import (
     RewardConfig,
-    RewardConfigError,
     entity_f1,
     format_reward,
     outcome_reward,
@@ -53,36 +52,36 @@ class TestFormatReward:
 
 
 class TestOutcomeReward:
-    def test_label_match(self):
-        assert outcome_reward(parse_tags("<answer>A</answer>"), make_sample()) == 1.0
-        assert outcome_reward(parse_tags("<answer> a </answer>"), make_sample()) == 1.0
-        assert outcome_reward(parse_tags("<answer>B</answer>"), make_sample()) == 0.0
+    def test_label_match(self, matcher):
+        for answer, reward in [("A", 1.0), (" a ", 1.0), ("B", 0.0)]:
+            tagged = parse_tags(f"<answer>{answer}</answer>")
+            assert outcome_reward(tagged, make_sample(), matcher) == reward
 
-    def test_option_text_match(self):
-        assert outcome_reward(parse_tags("<answer>yes</answer>"), make_sample()) == 1.0
+    def test_option_text_match(self, matcher):
+        tagged = parse_tags("<answer>yes</answer>")
+        assert outcome_reward(tagged, make_sample(), matcher) == 1.0
 
-    def test_leading_label_match(self):
+    def test_leading_label_match(self, matcher):
         s = make_sample(
             task=TaskType.SINGLE_DIAGNOSIS,
             options=(Option("A", "edema"), Option("B", "atelectasis")),
             answer="B",
         )
-        assert outcome_reward(parse_tags("<answer>B) atelectasis</answer>"), s) == 1.0
-        assert outcome_reward(parse_tags("<answer>A) edema</answer>"), s) == 0.0
+        assert outcome_reward(parse_tags("<answer>B) atelectasis</answer>"), s, matcher) == 1.0
+        assert outcome_reward(parse_tags("<answer>A) edema</answer>"), s, matcher) == 0.0
 
-    def test_missing_answer_tag_scores_zero(self):
-        assert outcome_reward(parse_tags("no tags here"), make_sample()) == 0.0
+    def test_missing_answer_tag_scores_zero(self, matcher):
+        assert outcome_reward(parse_tags("no tags here"), make_sample(), matcher) == 0.0
 
-    def test_open_ended_requires_scorer(self):
-        s = make_sample(task=TaskType.ANOMALY_DETECTION, options=(), answer="edema")
-        with pytest.raises(RewardConfigError):
-            outcome_reward(parse_tags("<answer>edema</answer>"), s)
-
-    def test_open_ended_scorer_clamped(self):
-        s = make_sample(task=TaskType.ANOMALY_DETECTION, options=(), answer="edema")
-        tagged = parse_tags("<answer>x</answer>")
-        assert outcome_reward(tagged, s, lambda p, r: 2.5) == 1.0
-        assert outcome_reward(tagged, s, lambda p, r: -1.0) == 0.0
+    def test_open_ended_is_entity_f1_under_the_matcher(self, matcher, plain_matcher):
+        # "enlarged heart" is a synonym of "cardiomegaly" only in the bundled table
+        s = make_sample(task=TaskType.ANOMALY_DETECTION, options=(),
+                        answer="cardiomegaly. rib fracture.")
+        prediction = "enlarged heart"
+        tagged = parse_tags(f"<answer>{prediction}</answer>")
+        for m, f1 in [(matcher, 2 / 3), (plain_matcher, 0.0)]:
+            assert outcome_reward(tagged, s, m) == entity_f1(prediction, s.answer, m)
+            assert abs(outcome_reward(tagged, s, m) - f1) < 1e-12
 
 
 class TestEntityF1:

@@ -129,7 +129,7 @@ class TestGrpoStage:
             trained, stats = train_grpo(
                 policy, corpus, RewardConfig(), fast_grpo_config()
             )
-            results.append((trained.theta, [s.as_record() for s in stats]))
+            results.append((trained.theta, [vars(s) for s in stats]))
         assert np.array_equal(results[0][0], results[1][0])
         assert results[0][1] == results[1][1]
 
