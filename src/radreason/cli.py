@@ -26,6 +26,10 @@ from .policy import GrpoConfig
 from .training import PRESETS, SftConfig, toy_grpo_config
 
 
+# the top-level keys a config file may hold; any other is refused
+_CONFIG_KEYS = ("matcher", "synonym_table", "cache_dir", "mock_fixture", "base_url", "sft", "grpo")
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -52,7 +56,6 @@ def _make_llm_client(args, config: dict):
         cache_dir=config.get("cache_dir"),
         mock_fixture=config.get("mock_fixture"),
         base_url=config.get("base_url", ""),
-        workers=args.workers,
     )
 
 
@@ -122,6 +125,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FATAL
 
     try:
+        unknown = [key for key in config if key not in _CONFIG_KEYS]
+        if unknown:
+            raise ValueError(f"config: unknown key {unknown[0]!r}")
         if args.command in ("mine", "compile-bench"):
             corpus = load_corpus(args.corpus)
             matcher = None

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
 class TaskType(str, Enum):
@@ -126,7 +127,6 @@ class VqaSample:
 @dataclass(frozen=True)
 class Corpus:
     samples: tuple[VqaSample, ...]
-    provenance: str = ""
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -214,6 +214,16 @@ def read_jsonl(
             yield lineno, rec, reason
 
 
+def map_in_order(fn: Callable, items: Sequence, workers: int) -> list:
+    """`fn` of each item, in item order. With `workers` > 1 the calls run on
+    that many threads, which overlap only calls that wait, such as requests
+    to a remote backend; the results are the same either way."""
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     """Write records as JSON Lines, one sorted-key object per line: the
     serialization of every JSON Lines file radreason writes."""
@@ -228,7 +238,7 @@ def write_json(path: str | Path, obj) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def load_corpus(path: str | Path, provenance: str = "") -> Corpus:
+def load_corpus(path: str | Path) -> Corpus:
     """Load a line-delimited corpus file, validating every record. A
     malformed record raises CorpusError located as `path:line: reason`."""
     samples: list[VqaSample] = []
@@ -244,7 +254,7 @@ def load_corpus(path: str | Path, provenance: str = "") -> Corpus:
             raise CorpusError(f"{path}:{lineno}: {e}") from None
         seen.add(sample.id)
         samples.append(sample)
-    return Corpus(samples=tuple(samples), provenance=provenance or str(path))
+    return Corpus(samples=tuple(samples))
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -270,10 +280,7 @@ def partition(corpus: Corpus) -> tuple[Corpus, Corpus]:
             bad.append(s.id)
     if bad:
         raise PartitionError(bad)
-    return (
-        Corpus(tuple(augmented), provenance=corpus.provenance),
-        Corpus(tuple(answer_only), provenance=corpus.provenance),
-    )
+    return Corpus(tuple(augmented)), Corpus(tuple(answer_only))
 
 
 IMAGE_TOKEN = "<image>"

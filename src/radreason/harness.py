@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -17,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .core import Corpus, read_jsonl, write_json, write_jsonl
+from .core import Corpus, map_in_order, read_jsonl, write_json, write_jsonl
 from .llm import CompletionClient, load_template
 from .mining import (
     BenchmarkBundle,
@@ -39,17 +38,16 @@ EXIT_OK = 0
 EXIT_FATAL = 1
 EXIT_SAMPLE_ERRORS = 2
 
-# most resample indices bootstrap_ci draws at once (32 MB of int64)
-_INDEX_CHUNK = 2**22
+# most resample indices bootstrap_ci draws at once (2 MB of int64)
+_INDEX_CHUNK = 2**18
 
 
 def bootstrap_ci(
     values: Sequence[float] | np.ndarray,
     resamples: int = 1000,
-    level: float = 0.95,
     seed: int = 0,
 ) -> tuple[float, float] | list[tuple[float, float]]:
-    """Nonparametric percentile bootstrap interval for the mean.
+    """Nonparametric 95% percentile bootstrap interval for the mean.
 
     `values` is one sample of n values, or an (n, k) table whose k columns
     are samples over the same n rows; a table gets one interval per column,
@@ -71,7 +69,9 @@ def bootstrap_ci(
         idx = rng.integers(0, n, size=(min(chunk, resamples - start), n))
         for k, col in enumerate(cols):
             means[k, start : start + len(idx)] = col[idx].mean(axis=1)
-    alpha = (1.0 - level) / 2.0
+    # the tail of a 95% interval, 0.025000000000000022: the literal 0.025
+    # would move the quantiles in the last bits
+    alpha = (1.0 - 0.95) / 2.0
     intervals = []
     for col_means in means:
         low, high = np.quantile(col_means, [alpha, 1.0 - alpha])
@@ -145,12 +145,7 @@ def cmd_score(
         }
         return record, None
 
-    if workers <= 1:
-        results = [_one(r) for r in rows]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_one, rows))
-
+    results = map_in_order(_one, rows, workers)
     records = sorted((r for r, _ in results if r), key=lambda r: r["id"])
     errors = sorted(
         [e for _, e in results if e] + bad_lines, key=lambda e: (e["id"] or "", e["line"])
@@ -310,7 +305,12 @@ def cmd_compile(
     bundle = compile_benchmark(
         balanced, kept, out_dir, seed=seed, threshold=threshold
     )
-    write_jsonl(out_dir / "chains.jsonl", (c.as_record() for c in kept))
+    # a chain's fields, its steps' fields under "steps" (`dataclasses.asdict`
+    # would deep-copy every value: about 13 ms of a `mine` call)
+    write_jsonl(
+        out_dir / "chains.jsonl",
+        ({**vars(c), "steps": [vars(s) for s in c.steps]} for c in kept),
+    )
     write_jsonl(out_dir / "rejections.jsonl", map(vars, rejections))
     return bundle, len(rejections)
 

@@ -128,29 +128,26 @@ class MockBackend:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockBackend":
-        """Load a JSONL fixture. Records either carry a precomputed "key", or
-        the request fields from which the key is recomputed. A malformed
+        """Load a JSONL fixture: each record holds a response and the request
+        fields (`template_id`, `template_version`, `prompt`, and optionally
+        `temperature` and `max_tokens`) its key is computed from. A malformed
         line raises CompletionError located as `path:line: reason`."""
         responses: dict[str, str] = {}
         for lineno, rec, reason in read_jsonl(path, ("response",)):
             if reason:
                 raise CompletionError(f"{path}:{lineno}: {reason}")
-            for name in ("response", "key"):
-                if not isinstance(rec.get(name, ""), str):
-                    raise CompletionError(f"{path}:{lineno}: field {name!r} is not a string")
-            if "key" in rec:
-                key = rec["key"]
-            else:
-                try:
-                    key = CompletionRequest(
-                        template_id=rec["template_id"],
-                        template_version=rec["template_version"],
-                        prompt=rec["prompt"],
-                        temperature=rec.get("temperature", 0.0),
-                        max_tokens=rec.get("max_tokens", 1024),
-                    ).idempotency_key
-                except KeyError as e:
-                    raise CompletionError(f"{path}:{lineno}: missing field {e}") from None
+            if not isinstance(rec["response"], str):
+                raise CompletionError(f"{path}:{lineno}: field 'response' is not a string")
+            try:
+                key = CompletionRequest(
+                    template_id=rec["template_id"],
+                    template_version=rec["template_version"],
+                    prompt=rec["prompt"],
+                    temperature=rec.get("temperature", 0.0),
+                    max_tokens=rec.get("max_tokens", 1024),
+                ).idempotency_key
+            except KeyError as e:
+                raise CompletionError(f"{path}:{lineno}: missing field {e}") from None
             responses[key] = rec["response"]
         return cls(responses)
 
@@ -239,17 +236,12 @@ class CacheOnlyBackend:
 
 
 class CompletionClient:
-    """Cache-first completion gateway with bounded in-flight concurrency."""
+    """Cache-first completion gateway. Callers on several threads share it;
+    their number (`--workers`) bounds the requests in flight."""
 
-    def __init__(
-        self,
-        backend,
-        cache: Optional[ResponseCache] = None,
-        max_in_flight: int = 4,
-    ):
+    def __init__(self, backend, cache: Optional[ResponseCache] = None):
         self.backend = backend
         self.cache = cache
-        self._semaphore = threading.Semaphore(max_in_flight)
 
     def complete(self, request: CompletionRequest) -> str:
         key = request.idempotency_key
@@ -257,8 +249,7 @@ class CompletionClient:
             cached = self.cache.get(key)
             if cached is not None:
                 return cached
-        with self._semaphore:
-            response = self.backend.complete(request)
+        response = self.backend.complete(request)
         if self.cache is not None:
             self.cache.put(key, response)
         return response
@@ -269,7 +260,6 @@ def make_client(
     cache_dir: Optional[str | Path] = None,
     mock_fixture: Optional[str | Path] = None,
     base_url: str = "",
-    workers: int = 4,
 ) -> CompletionClient:
     cache = ResponseCache(cache_dir) if cache_dir else None
     if backend_name == "mock":
@@ -284,4 +274,4 @@ def make_client(
         backend = RemoteBackend(base_url=base_url)
     else:
         raise CompletionError(f"unknown backend {backend_name!r}")
-    return CompletionClient(backend, cache=cache, max_in_flight=workers)
+    return CompletionClient(backend, cache=cache)

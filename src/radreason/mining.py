@@ -9,7 +9,6 @@ completion (backend or cache) aborts the batch.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -18,10 +17,10 @@ import numpy as np
 from .core import (
     Corpus,
     CorpusError,
-    LabelFn,
     VqaSample,
     count_labels,
     label_by_answer,
+    map_in_order,
     read_jsonl,
     sample_to_record,
     write_json,
@@ -41,20 +40,18 @@ class MiningError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PlanStep:
+class EvidenceStep:
+    """One step of a chain: a plan goal, its place in the plan, and the
+    evidence found for it. The fields are the step keys of `chains.jsonl`."""
+
     goal: str
     order: int
+    evidence: str
+    inferred: bool  # evidence was not found in the report
 
     def __post_init__(self) -> None:
         if not self.goal.strip():
             raise ValueError("plan step goal must be non-empty")
-
-
-@dataclass(frozen=True)
-class EvidenceStep:
-    plan: PlanStep
-    evidence: str
-    inferred: bool  # evidence was not found in the report
 
 
 @dataclass(frozen=True)
@@ -64,27 +61,12 @@ class MinedChain:
     narrative: str
     r_f: float
 
-    def as_record(self) -> dict:
-        return {
-            "sample_id": self.sample_id,
-            "steps": [
-                {
-                    "goal": s.plan.goal,
-                    "order": s.plan.order,
-                    "evidence": s.evidence,
-                    "inferred": s.inferred,
-                }
-                for s in self.steps
-            ],
-            "narrative": self.narrative,
-            "r_f": self.r_f,
-        }
-
     @classmethod
     def from_record(cls, rec: dict) -> "MinedChain":
         steps = tuple(
             EvidenceStep(
-                plan=PlanStep(goal=s["goal"], order=s["order"]),
+                goal=s["goal"],
+                order=s["order"],
                 evidence=s["evidence"],
                 inferred=bool(s["inferred"]),
             )
@@ -99,8 +81,8 @@ class MinedChain:
 
 
 def load_chains(path: str | Path) -> list[MinedChain]:
-    """Read a chains file (JSONL of `MinedChain.as_record` records, as
-    `chains.jsonl` of a mining run). A malformed line raises ValueError
+    """Read a chains file (JSONL of `MinedChain` records, as `chains.jsonl`
+    of a mining run). A malformed line raises ValueError
     located as `path:line: reason`."""
     chains = []
     for lineno, rec, reason in read_jsonl(path, ("sample_id", "steps", "narrative", "r_f")):
@@ -128,34 +110,39 @@ def _parse_list(raw: str) -> list[str]:
     return items
 
 
-def build_plans(
-    sample: VqaSample, client: CompletionClient, max_retries: int = 2
-) -> list[PlanStep]:
-    """Step 1: structured reasoning plan for a (question, options, report)."""
+# times an unparseable plan is requested again (a client with a cache
+# answers a repeat from it)
+_PLAN_RETRIES = 2
+
+
+def build_plans(sample: VqaSample, client: CompletionClient) -> list[str]:
+    """Step 1: the goals of a structured reasoning plan for a (question,
+    options, report), in plan order."""
     if not sample.report:
         raise MiningError(sample.id, "plan", "sample has no report")
     options = " ".join(f"{o.label}) {o.text}" for o in sample.options) or "(open-ended)"
     request = render_template(
         "plan", question=sample.question, options=options, report=sample.report
     )
-    for _ in range(max_retries + 1):
+    for _ in range(_PLAN_RETRIES + 1):
         raw = client.complete(request)
         goals = _parse_list(raw)
         if goals:
-            return [PlanStep(goal=g, order=i) for i, g in enumerate(goals)]
+            return goals
     raise MiningError(sample.id, "plan", f"empty or unparseable plan: {raw!r}")
 
 
 def extract_evidence(
-    plan: PlanStep, report: str, client: CompletionClient
+    goal: str, order: int, report: str, client: CompletionClient
 ) -> EvidenceStep:
-    """Step 2: evidence from the report, or an inferred 'normal'/'no disease'."""
+    """Step 2: evidence from the report for plan goal number `order`, or an
+    inferred 'normal'/'no disease'."""
     if not report.strip():
         raise ValueError("report text must be non-empty")
-    request = render_template("evidence", goal=plan.goal, report=report)
+    request = render_template("evidence", goal=goal, report=report)
     raw = client.complete(request).strip()
     inferred = raw.lower().strip(".\"' ") in _INFERRED_FORMS
-    return EvidenceStep(plan=plan, evidence=raw, inferred=inferred)
+    return EvidenceStep(goal=goal, order=order, evidence=raw, inferred=inferred)
 
 
 def refine_chain(
@@ -168,7 +155,7 @@ def refine_chain(
     if not steps:
         raise ValueError("refine_chain requires at least one evidence step")
     steps_text = "\n".join(
-        f"{s.plan.order + 1}. {s.plan.goal}: {s.evidence}" for s in steps
+        f"{s.order + 1}. {s.goal}: {s.evidence}" for s in steps
     )
     request = render_template(
         "refine",
@@ -192,8 +179,11 @@ def refine_chain(
 
 
 def mine_sample(sample: VqaSample, client: CompletionClient, matcher) -> MinedChain:
-    plans = build_plans(sample, client)
-    steps = [extract_evidence(p, sample.report, client) for p in plans]
+    goals = build_plans(sample, client)
+    steps = [
+        extract_evidence(goal, order, sample.report, client)
+        for order, goal in enumerate(goals)
+    ]
     return refine_chain(sample, steps, client, matcher)
 
 
@@ -224,11 +214,7 @@ def mine_corpus(
         except (ExtractionError, MatchError) as e:
             return None, Rejection(sample.id, "mine", str(e))
 
-    if workers <= 1:
-        results = [_one(s) for s in candidates]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_one, candidates))
+    results = map_in_order(_one, candidates, workers)
     chains = sorted((c for c, _ in results if c), key=lambda c: c.sample_id)
     rejections = sorted((r for _, r in results if r), key=lambda r: r.sample_id)
     return chains, rejections
@@ -249,12 +235,11 @@ def filter_by_factuality(
     return kept, rejected
 
 
-def balance(
-    corpus: Corpus, label_of: LabelFn = label_by_answer, seed: int = 0
-) -> Corpus:
-    """Seeded uniform down-sampling until the most frequent disease label does
-    not exceed twice the least frequent; the minimum class is never touched."""
-    counts = count_labels(corpus.samples, label_of)
+def balance(corpus: Corpus, seed: int = 0) -> Corpus:
+    """Seeded uniform down-sampling until the most frequent disease label
+    (`label_by_answer`) does not exceed twice the least frequent; the
+    minimum class is never touched."""
+    counts = count_labels(corpus.samples, label_by_answer)
     if len(counts) < 2:
         raise CorpusError(
             "balancing needs at least two disease labels; got "
@@ -264,13 +249,13 @@ def balance(
     rng = np.random.default_rng(seed)
     keep_ids: set[str] = set()
     for label in sorted(counts):
-        ids = [s.id for s in corpus.samples if label_of(s) == label]
+        ids = [s.id for s in corpus.samples if label_by_answer(s) == label]
         if len(ids) > cap:
             picked = rng.choice(len(ids), size=cap, replace=False)
             ids = [ids[i] for i in sorted(picked)]
         keep_ids.update(ids)
     kept = tuple(s for s in corpus.samples if s.id in keep_ids)
-    return Corpus(kept, provenance=corpus.provenance)
+    return Corpus(kept)
 
 
 @dataclass(frozen=True)

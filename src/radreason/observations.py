@@ -341,16 +341,20 @@ class LexicalMatcher:
         return tuple(matched), tuple(unmatched)
 
 
+# times an unparseable extraction is requested again (a client with a cache
+# answers a repeat from it)
+_EXTRACT_RETRIES = 2
+
+
 class LlmMatcher:
     """Matcher that delegates to the completion backend (verdicts cacheable
     through the client's cache). Verdicts may be asymmetric."""
 
     name = "llm"
 
-    def __init__(self, client, max_retries: int = 2):
+    def __init__(self, client):
         # client: radreason.llm.CompletionClient
         self.client = client
-        self.max_retries = max_retries
 
     def extract(self, text: str, role: Role) -> ObservationSet:
         from .llm import render_template
@@ -359,7 +363,7 @@ class LlmMatcher:
             raise ValueError("cannot extract observations from empty text")
         request = render_template("extract", text=text)
         last_raw = ""
-        for _ in range(self.max_retries + 1):
+        for _ in range(_EXTRACT_RETRIES + 1):
             raw = self.client.complete(request)
             last_raw = raw
             phrases = [

@@ -585,10 +585,10 @@ def advantages(rewards: Sequence[float] | np.ndarray) -> np.ndarray:
 def kl_penalty(
     logp_old: float | np.ndarray,
     logp_new: float | np.ndarray,
-    estimator: str = "log_ratio",
+    estimator: str,
 ) -> float | np.ndarray:
-    """Single-sample KL(old || new) estimator, elementwise over arrays. The
-    default is the plain log ratio; "k3" selects the non-negative variant
+    """Single-sample KL(old || new) estimator, elementwise over arrays:
+    "log_ratio" is the plain log ratio, "k3" the non-negative variant
     q - 1 - log q."""
     if estimator == "log_ratio":
         return logp_old - logp_new

@@ -52,10 +52,9 @@ def _match_close_ended(answer_text: str, sample: VqaSample) -> float:
     return 0.0
 
 
-def entity_f1(prediction: str, reference: str, matcher=None) -> float:
-    """Entity-level F1 between two free-text answers; the desk-scale stand-in
-    for an external report-similarity scorer."""
-    matcher = matcher or LexicalMatcher()
+def entity_f1(prediction: str, reference: str, matcher) -> float:
+    """Entity-level F1 between two free-text answers under `matcher`; the
+    desk-scale stand-in for an external report-similarity scorer."""
     if not prediction.strip() or not reference.strip():
         return 0.0
     pred = matcher.extract(prediction, Role.MODEL)

@@ -269,7 +269,9 @@ def train_grpo(
                 reward_cfg.matcher,
                 probe_uniforms,
             )
-        kl_new = kl_penalty(batch.logp_old, policy_old.sequence_log_probs(batch.tokens))
+        kl_new = kl_penalty(
+            batch.logp_old, policy_old.sequence_log_probs(batch.tokens), cfg.kl_estimator
+        )
         breakdowns = [b for group in groups for b in group]
         stats.append(
             StepStats(
@@ -299,30 +301,14 @@ class StageSpec:
     use_process_reward: bool = False
 
 
-@dataclass(frozen=True)
-class Preset:
-    name: str
-    stages: tuple[StageSpec, ...]
-
-
-PRESETS: dict[str, Preset] = {
-    "sft_ro": Preset("sft_ro", (StageSpec("sft", "R"),)),
-    "sft_both": Preset("sft_both", (StageSpec("sft", "both"),)),
-    "rl_o": Preset("rl_o", (StageSpec("grpo", "A"),)),
-    "sft_ro_rl_o": Preset(
-        "sft_ro_rl_o", (StageSpec("sft", "R"), StageSpec("grpo", "A"))
-    ),
-    "no_process_reward": Preset(
-        "no_process_reward",
-        (StageSpec("sft", "both"), StageSpec("grpo", "both")),
-    ),
-    "full": Preset(
-        "full",
-        (
-            StageSpec("sft", "both"),
-            StageSpec("grpo", "both", use_process_reward=True),
-        ),
-    ),
+# preset name -> its stages, run in order
+PRESETS: dict[str, tuple[StageSpec, ...]] = {
+    "sft_ro": (StageSpec("sft", "R"),),
+    "sft_both": (StageSpec("sft", "both"),),
+    "rl_o": (StageSpec("grpo", "A"),),
+    "sft_ro_rl_o": (StageSpec("sft", "R"), StageSpec("grpo", "A")),
+    "no_process_reward": (StageSpec("sft", "both"), StageSpec("grpo", "both")),
+    "full": (StageSpec("sft", "both"), StageSpec("grpo", "both", use_process_reward=True)),
 }
 
 
@@ -349,9 +335,8 @@ def run_preset(
             f"unknown preset {preset_name!r}; expected one of {sorted(PRESETS)}"
         )
     reward_cfg = reward_cfg or RewardConfig()
-    preset = PRESETS[preset_name]
     all_stats: list[StepStats] = []
-    for spec in preset.stages:
+    for spec in PRESETS[preset_name]:
         data = _select_data(corpus, spec.data)
         if spec.kind == "sft":
             policy, stats = train_sft(policy, data, sft_cfg)
@@ -375,17 +360,15 @@ _TOY_FINDINGS = (
 )
 
 
-def make_toy_corpus(
-    n_reasoning: int = 4, n_answer_only: int = 4, seed: int = 0
-) -> Corpus:
-    """Tiny synthetic diagnosis corpus: single-finding reports paired with
-    yes/no questions, plus answer-only twins."""
+def make_toy_corpus(seed: int = 0) -> Corpus:
+    """Tiny synthetic diagnosis corpus: one single-finding report paired with
+    a yes/no question per finding, plus as many answer-only twins, whose
+    findings the seed draws."""
     from .core import Option
 
     rng = np.random.default_rng(seed)
     samples = []
-    for i in range(n_reasoning):
-        finding = _TOY_FINDINGS[i % len(_TOY_FINDINGS)]
+    for i, finding in enumerate(_TOY_FINDINGS):
         readable = finding.replace("_", " ")
         samples.append(
             VqaSample(
@@ -401,7 +384,7 @@ def make_toy_corpus(
                 split="train",
             )
         )
-    for i in range(n_answer_only):
+    for i in range(len(_TOY_FINDINGS)):
         finding = _TOY_FINDINGS[int(rng.integers(len(_TOY_FINDINGS)))]
         readable = finding.replace("_", " ")
         samples.append(
@@ -416,7 +399,7 @@ def make_toy_corpus(
                 split="train",
             )
         )
-    return Corpus(tuple(samples), provenance="synthetic factual-grammar task")
+    return Corpus(tuple(samples))
 
 
 def make_toy_policy(corpus: Corpus, n_contexts: int = 64, max_length: int = 10) -> ToyPolicy:

@@ -43,7 +43,7 @@ def test_backend_choices():
     ],
 )
 def test_counts_below_one_refused_by_parser(argv, flag, capsys):
-    # parsing only: a zero worker count would hang `mine` on its semaphore
+    # parsing only: no command runs
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
     assert exc.value.code == 2
@@ -227,6 +227,11 @@ def test_compile_bench_reports_filtered_chains(tmp_path, data_dir, mock_config):
         ('{"sample_id": "f001"}', "missing field 'steps'"),
         ('{"sample_id": "f001", "steps": [], "narrative": "n", "r_f": "high"}',
          "malformed chain: could not convert string to float: 'high'"),
+        ('{"sample_id": "f001", "steps": [{"goal": "g"}], "narrative": "n", "r_f": 1}',
+         "missing field 'order'"),
+        ('{"sample_id": "f001", "steps": [{"goal": " ", "order": 0, "evidence": "e", '
+         '"inferred": false}], "narrative": "n", "r_f": 1}',
+         "malformed chain: plan step goal must be non-empty"),
         ('{"sample_id": "f001", "steps',
          "invalid JSON at column 23: Unterminated string starting at"),
     ],
@@ -276,6 +281,11 @@ _ARGV = {
     "config": ["--config", "{bad}", "eval", "{bad}"],
     "train-config": ["--config", "{bad}", "train-toy", "{corpus}", "--preset", "full",
                      "--out", "{out}"],
+    "mine-config": ["--config", "{bad}", "mine", "{corpus}", "--out", "{out}"],
+    "compile-config": ["--config", "{bad}", "compile-bench", "{corpus}", "{bad}",
+                       "--out", "{out}"],
+    "score-config": ["--config", "{bad}", "score", "{corpus}", "{bad}", "--out", "{out}"],
+    "eval-config": ["--config", "{bad}", "eval", "{bad}"],
 }
 _SAMPLE = {"id": "s", "task": "binary_diagnosis", "images": ["x.png"], "question": "q",
            "options": [{"label": "A", "text": "yes"}], "answer": "A"}
@@ -314,10 +324,8 @@ _MALFORMED = [
                  "field 'question' must be a string", id="corpus-null-question"),
     pytest.param("corpus", json.dumps({**_SAMPLE, "answer": None}).encode(),
                  "field 'answer' must be a string", id="corpus-null-answer"),
-    pytest.param("fixture", b'{"key": "k", "response": 5}', "field 'response' is not a string",
+    pytest.param("fixture", b'{"response": 5}', "field 'response' is not a string",
                  id="fixture-non-string-response"),
-    pytest.param("fixture", b'{"key": 5, "response": "r"}', "field 'key' is not a string",
-                 id="fixture-non-string-key"),
     pytest.param("config", b"[1]", "not a JSON object", id="config-array"),
     pytest.param("train-config", b'{"grpo": [1]}',
                  "config: section 'grpo' is not a JSON object", id="train-config-grpo"),
@@ -326,6 +334,10 @@ _MALFORMED = [
     pytest.param("train-config", b'{"grpo": {"seed": 7}}',
                  "config: section 'grpo' cannot set 'seed'; --seed sets it",
                  id="train-config-grpo-seed"),
+    # a misspelt key would otherwise fall back to its default unnoticed
+    *[pytest.param(f"{command}-config", b'{"matchr": "llm", "synonym_tabel": "x.tsv"}',
+                   "config: unknown key 'matchr'", id=f"{command}-config-unknown-key")
+      for command in ("mine", "compile", "score", "eval", "train")],
 ]
 
 
@@ -345,7 +357,7 @@ def test_malformed_input_located(tmp_path, data_dir, capsys, kind, line, reason)
         }
     elif kind == "config":
         assert rc == 1 and err == f"error: cannot read config: {bad}: {reason}\n"
-    elif kind == "train-config":
+    elif kind.endswith("-config"):
         assert rc == 1 and err == f"error: {reason}\n"
     else:
         assert rc == 1 and err == f"error: {bad}:2: {reason}\n"

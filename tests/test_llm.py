@@ -162,15 +162,6 @@ class TestMockBackend:
         with pytest.raises(CompletionError, match="no fixture response"):
             backend.complete(CompletionRequest("plan", "1", "p"))
 
-    def test_from_file_accepts_precomputed_keys(self, tmp_path):
-        req = CompletionRequest("plan", "1", "p")
-        path = tmp_path / "fix.jsonl"
-        path.write_text(
-            '{"key": "%s", "response": "r"}\n' % req.idempotency_key,
-            encoding="utf-8",
-        )
-        assert MockBackend.from_file(path).complete(req) == "r"
-
 
 class TestMakeClient:
     def test_mock_requires_fixture(self):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,6 @@ from radreason.llm import CacheMissError, make_client
 from radreason.mining import (
     MinedChain,
     MiningError,
-    PlanStep,
     _parse_list,
     balance,
     build_plans,
@@ -68,7 +68,7 @@ class TestMineSample:
         sample = fixture_samples["f003"]
         chain = mine_sample(sample, mock_client, matcher)
         assert chain.sample_id == "f003"
-        assert [s.plan.goal for s in chain.steps] == [
+        assert [s.goal for s in chain.steps] == [
             "Assess for atelectasis",
             "Assess for pneumothorax",
         ]
@@ -82,15 +82,13 @@ class TestMineSample:
 
     def test_inferred_evidence_flagged(self, fixture_samples, mock_client):
         sample = fixture_samples["f007"]
-        step = extract_evidence(
-            PlanStep(goal="Assess the ribs", order=1), sample.report, mock_client
-        )
+        step = extract_evidence("Assess the ribs", 1, sample.report, mock_client)
         assert step.inferred
         assert step.evidence == "no disease"
 
     def test_record_round_trip(self, fixture_samples, mock_client, matcher):
         chain = mine_sample(fixture_samples["f002"], mock_client, matcher)
-        assert MinedChain.from_record(chain.as_record()) == chain
+        assert MinedChain.from_record(asdict(chain)) == chain
 
 
 class TestMineCorpus:

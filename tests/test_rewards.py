@@ -86,19 +86,20 @@ class TestOutcomeReward:
 
 class TestEntityF1:
     def test_identical_texts(self, matcher):
-        assert entity_f1("mild edema. no effusion.", "mild edema. no effusion.") == 1.0
+        text = "mild edema. no effusion."
+        assert entity_f1(text, text, matcher) == 1.0
 
-    def test_disjoint_texts(self):
-        assert entity_f1("edema", "pneumothorax") == 0.0
+    def test_disjoint_texts(self, matcher):
+        assert entity_f1("edema", "pneumothorax", matcher) == 0.0
 
-    def test_partial_overlap(self):
+    def test_partial_overlap(self, matcher):
         # prediction {edema, fracture}, reference {edema}: P=0.5, R=1 -> F1 2/3
-        value = entity_f1("edema. rib fracture.", "edema.")
+        value = entity_f1("edema. rib fracture.", "edema.", matcher)
         assert abs(value - 2 / 3) < 1e-12
 
-    def test_empty_sides_score_zero(self):
-        assert entity_f1("", "edema") == 0.0
-        assert entity_f1("edema", " ") == 0.0
+    def test_empty_sides_score_zero(self, matcher):
+        assert entity_f1("", "edema", matcher) == 0.0
+        assert entity_f1("edema", " ", matcher) == 0.0
 
 
 class TestProcessReward:

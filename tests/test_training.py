@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from radreason.core import PartitionTag, PromptMode
 from radreason import training
-from radreason.policy import GrpoConfig, group_uniforms, sft_loss
+from radreason.policy import GrpoConfig, group_uniforms, kl_penalty, sft_loss
 from radreason.rewards import RewardConfig
 from radreason.training import (
     EOS_TOKEN,
@@ -184,6 +186,24 @@ class TestGrpoStage:
         assert stats[0].process_factuality is not None
         assert stats[-1].process_factuality is not None
 
+    def test_mean_kl_uses_the_configured_estimator(self, corpus, monkeypatch):
+        # each step's (logp_old, logp_new), as train_grpo hands them over
+        pairs = []
+
+        def spy(logp_old, logp_new, estimator):
+            pairs.append((logp_old, logp_new))
+            return kl_penalty(logp_old, logp_new, estimator)
+
+        monkeypatch.setattr(training, "kl_penalty", spy)
+        cfg = replace(fast_grpo_config(), kl_estimator="k3")
+        _, stats = train_grpo(make_toy_policy(corpus), corpus, RewardConfig(), cfg)
+        assert len(pairs) == len(stats) == cfg.steps
+        for s, (logp_old, logp_new) in zip(stats, pairs):
+            log_q = logp_new - logp_old
+            assert np.abs(log_q).max() > 0  # the update moved the policy
+            assert s.mean_kl >= 0.0
+            assert s.mean_kl == float(np.mean(np.expm1(log_q) - log_q))
+
 
 class TestPresets:
     def test_all_six_presets_registered(self):
@@ -213,8 +233,8 @@ class TestPresets:
 
     def test_process_reward_only_in_full(self):
         grpo_specs = {
-            name: [s for s in preset.stages if s.kind == "grpo"]
-            for name, preset in PRESETS.items()
+            name: [s for s in stages if s.kind == "grpo"]
+            for name, stages in PRESETS.items()
         }
         assert all(
             not s.use_process_reward
