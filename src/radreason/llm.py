@@ -14,6 +14,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -41,7 +42,7 @@ class CompletionRequest:
     temperature: float = 0.0
     max_tokens: int = 1024
 
-    @property
+    @cached_property
     def idempotency_key(self) -> str:
         payload = json.dumps(
             {
@@ -90,31 +91,85 @@ def render_template(name: str, **fields: str) -> CompletionRequest:
 
 
 # ---------------------------------------------------------------------------
-# cache: one file per idempotency key
+# cache: one append-only log per directory
+
+_LOG_NAME = "responses.jsonl"
+_LEGACY_NAME = re.compile(r"[0-9a-f]{64}\.txt")
+
 
 class ResponseCache:
-    """Content-addressed response cache; concurrent readers and writers, in
-    any number of threads and processes. A writer writes its own temp file
-    and renames it over the entry, so an entry always holds one whole
-    response."""
+    """Content-addressed response cache: one append-only log,
+    `<directory>/responses.jsonl`, of `{"key", "response"}` lines, shared by
+    any number of threads and processes.
+
+    Each entry is appended with one `write()` on an `O_APPEND` descriptor,
+    so on a local file system entries never interleave. The first whole
+    line for a key wins, and a line that is torn or does not parse is
+    skipped, so its key is a miss. Entries of the earlier layout, one
+    `<key>.txt` file per key, are read but never written."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self._log = self.directory / _LOG_NAME
+        self._lock = threading.Lock()
+        self._entries: Optional[dict[str, str]] = None
+        self._torn_tail = False
 
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.txt"
+    def _loaded(self) -> dict[str, str]:
+        # read on first use, not when the client is built, so that a
+        # command pays for it only once it asks for a completion
+        if self._entries is None:
+            with self._lock:
+                if self._entries is None:
+                    self._entries = self._load()
+        return self._entries
+
+    def _load(self) -> dict[str, str]:
+        entries: dict[str, str] = {}
+        try:
+            with self._log.open("rb") as fh:
+                for line in fh:
+                    self._torn_tail = not line.endswith(b"\n")
+                    try:
+                        rec = json.loads(line)
+                    except ValueError:  # torn, or not UTF-8 JSON
+                        continue
+                    if (
+                        isinstance(rec, dict)
+                        and isinstance(rec.get("key"), str)
+                        and isinstance(rec.get("response"), str)
+                    ):
+                        entries.setdefault(rec["key"], rec["response"])
+        except FileNotFoundError:
+            pass
+        for path in self.directory.iterdir():
+            key = path.name[:-4]
+            if _LEGACY_NAME.fullmatch(path.name) and key not in entries:
+                entries[key] = path.read_text(encoding="utf-8")
+        return entries
 
     def get(self, key: str) -> Optional[str]:
-        path = self._path(key)
-        if path.exists():
-            return path.read_text(encoding="utf-8")
-        return None
+        return self._loaded().get(key)
 
     def put(self, key: str, response: str) -> None:
-        tmp = self.directory / f"{key}.{os.getpid()}.{threading.get_ident()}.tmp"
-        tmp.write_text(response, encoding="utf-8")
-        tmp.replace(self._path(key))
+        entries = self._loaded()
+        line = json.dumps({"key": key, "response": response}) + "\n"
+        with self._lock:
+            if key in entries:
+                return
+            # a torn last line keeps its own bytes; the next entry starts afresh
+            data = (("\n" if self._torn_tail else "") + line).encode("utf-8")
+            fd = os.open(self._log, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+            try:
+                written = os.write(fd, data)
+            finally:
+                os.close(fd)
+            if written != len(data):
+                self._torn_tail = True
+                raise CompletionError(f"cache: short write to {self._log}")
+            self._torn_tail = False
+            entries[key] = response
 
 
 # ---------------------------------------------------------------------------

@@ -110,11 +110,6 @@ def _parse_list(raw: str) -> list[str]:
     return items
 
 
-# times an unparseable plan is requested again (a client with a cache
-# answers a repeat from it)
-_PLAN_RETRIES = 2
-
-
 def build_plans(sample: VqaSample, client: CompletionClient) -> list[str]:
     """Step 1: the goals of a structured reasoning plan for a (question,
     options, report), in plan order."""
@@ -124,11 +119,10 @@ def build_plans(sample: VqaSample, client: CompletionClient) -> list[str]:
     request = render_template(
         "plan", question=sample.question, options=options, report=sample.report
     )
-    for _ in range(_PLAN_RETRIES + 1):
-        raw = client.complete(request)
-        goals = _parse_list(raw)
-        if goals:
-            return goals
+    raw = client.complete(request)
+    goals = _parse_list(raw)
+    if goals:
+        return goals
     raise MiningError(sample.id, "plan", f"empty or unparseable plan: {raw!r}")
 
 

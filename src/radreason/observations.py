@@ -28,7 +28,7 @@ class Role(str, Enum):
 
 
 class ExtractionError(RuntimeError):
-    """llm extraction response could not be parsed after retries."""
+    """llm extraction response could not be parsed."""
 
     def __init__(self, message: str, raw_response: str = ""):
         super().__init__(message)
@@ -341,11 +341,6 @@ class LexicalMatcher:
         return tuple(matched), tuple(unmatched)
 
 
-# times an unparseable extraction is requested again (a client with a cache
-# answers a repeat from it)
-_EXTRACT_RETRIES = 2
-
-
 class LlmMatcher:
     """Matcher that delegates to the completion backend (verdicts cacheable
     through the client's cache). Verdicts may be asymmetric."""
@@ -362,20 +357,17 @@ class LlmMatcher:
         if not text.strip():
             raise ValueError("cannot extract observations from empty text")
         request = render_template("extract", text=text)
-        last_raw = ""
-        for _ in range(_EXTRACT_RETRIES + 1):
-            raw = self.client.complete(request)
-            last_raw = raw
-            phrases = [
-                ln.lstrip("-* ").strip()
-                for ln in raw.splitlines()
-                if ln.lstrip("-* ").strip()
-            ]
-            if not raw.strip():
-                return ObservationSet((), role=role)
-            if phrases:
-                return ObservationSet.from_phrases(phrases, role=role)
-        raise ExtractionError("unparseable extraction response", last_raw)
+        raw = self.client.complete(request)
+        phrases = [
+            ln.lstrip("-* ").strip()
+            for ln in raw.splitlines()
+            if ln.lstrip("-* ").strip()
+        ]
+        if not raw.strip():
+            return ObservationSet((), role=role)
+        if phrases:
+            return ObservationSet.from_phrases(phrases, role=role)
+        raise ExtractionError("unparseable extraction response", raw)
 
     def matches(self, a: Observation, b: Observation) -> bool:
         from .llm import render_template

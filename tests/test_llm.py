@@ -86,7 +86,72 @@ class TestCache:
         cache = ResponseCache(tmp_path)
         assert cache.get("k") is None
         cache.put("k", "value\nwith newline")
+        # visible at once in this process, and to a later reader of the log
         assert cache.get("k") == "value\nwith newline"
+        assert ResponseCache(tmp_path).get("k") == "value\nwith newline"
+        assert [p.name for p in tmp_path.iterdir()] == ["responses.jsonl"]
+
+    def test_empty_response_round_trips(self, tmp_path):
+        ResponseCache(tmp_path).put("k", "")
+        assert ResponseCache(tmp_path).get("k") == ""
+
+    def test_first_line_for_a_key_wins(self, tmp_path):
+        log = tmp_path / "responses.jsonl"
+        log.write_text(
+            '{"key": "k", "response": "first"}\n{"key": "k", "response": "second"}\n',
+            encoding="utf-8",
+        )
+        cache = ResponseCache(tmp_path)
+        assert cache.get("k") == "first"
+        cache.put("k", "third")  # a key already held is not appended again
+        assert cache.get("k") == "first"
+        assert log.read_text(encoding="utf-8").count("\n") == 2
+
+    def test_torn_last_line_is_a_miss(self, tmp_path):
+        log = tmp_path / "responses.jsonl"
+        log.write_text(
+            '{"key": "a", "response": "whole"}\n{"key": "b", "response": "to',
+            encoding="utf-8",
+        )
+        cache = ResponseCache(tmp_path)
+        assert cache.get("a") == "whole"
+        assert cache.get("b") is None
+        cache.put("c", "after the tear")
+        reread = ResponseCache(tmp_path)
+        assert (reread.get("a"), reread.get("b"), reread.get("c")) == (
+            "whole", None, "after the tear",
+        )
+
+    def test_legacy_entry_files_replay(self, tmp_path):
+        req = CompletionRequest("plan", "1", "p")
+        (tmp_path / f"{req.idempotency_key}.txt").write_text("recorded", encoding="utf-8")
+        (tmp_path / "notes.txt").write_text("not an entry", encoding="utf-8")
+        client = CompletionClient(CacheOnlyBackend(), cache=ResponseCache(tmp_path))
+        assert client.complete(req) == "recorded"
+        assert client.cache.get("notes") is None
+
+    def test_threads_putting_distinct_keys_keep_every_entry(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda t=t: [cache.put(f"{t}-{i}", f"v{t}-{i}") for i in range(200)]
+                )
+                for t in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        reread = ResponseCache(tmp_path)
+        for t in range(8):
+            for i in range(200):
+                assert reread.get(f"{t}-{i}") == f"v{t}-{i}"
 
     def test_client_is_cache_first(self, tmp_path):
         backend = CountingBackend()
@@ -104,9 +169,8 @@ class TestCache:
         assert client.complete(req) == "recorded"
 
     def test_processes_putting_one_key_leave_one_whole_response(self, tmp_path):
-        # each process writes its own large payload many times over, starting
-        # together; a shared temp path lets one rename the other's half-written
-        # file, or find its own temp file gone
+        # each process appends its own large payload, starting together;
+        # writes that interleaved would leave no whole line for the key
         script = (
             "import sys, time\n"
             "from pathlib import Path\n"
