@@ -182,6 +182,12 @@ def main(argv: list[str] | None = None) -> int:
                     raise ValueError(f"config: section {name!r} is not a JSON object")
             if "seed" in sections["grpo"]:
                 raise ValueError("config: section 'grpo' cannot set 'seed'; --seed sets it")
+            if sections["grpo"].get("clip_mode") == "literal":
+                raise ValueError(
+                    "config: grpo.clip_mode 'literal' trains nothing in train-toy: with one "
+                    "update per batch the ratio is 1 and min(ratio, 1 - clip_eps) * A has "
+                    "no advantage gradient; use 'standard'"
+                )
             grpo_kwargs = {**vars(toy_grpo_config(seed=args.seed)), **sections["grpo"]}
             if args.steps is not None:
                 grpo_kwargs["steps"] = args.steps

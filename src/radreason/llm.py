@@ -218,13 +218,24 @@ class MockBackend:
 
 # statuses worth a retry besides 5xx: request timeout, rate limited
 _RETRY_STATUS = frozenset({408, 429})
+# statuses whose Retry-After header asks for a wait (RFC 9110, section 10.2.3)
+_RETRY_AFTER_STATUS = frozenset({429, 503})
+
+
+def _retry_after_seconds(value: Optional[str]) -> float:
+    """The delay-seconds of a Retry-After header; 0 when it is missing or is
+    not a delay in seconds (an HTTP-date, say), so the backoff alone applies."""
+    value = (value or "").strip()
+    return float(value) if value.isascii() and value.isdigit() else 0.0
 
 
 class RemoteBackend:
     """Chat-completion style HTTPS endpoint with bounded exponential backoff.
 
     Retries transport errors, 5xx, 408 and 429, with no wait after the last
-    attempt; any other error response fails at once."""
+    attempt; any other error response fails at once. A 429 or 503 that
+    carries a Retry-After in seconds waits the larger of that and the
+    backoff."""
 
     def __init__(
         self,
@@ -258,9 +269,11 @@ class RemoteBackend:
             "max_tokens": request.max_tokens,
         }
         last_error: object = None
+        retry_after = 0.0
         for attempt in range(self.max_retries):
             if attempt:
-                time.sleep(self.backoff_seconds * 2 ** (attempt - 1))
+                time.sleep(max(retry_after, self.backoff_seconds * 2 ** (attempt - 1)))
+            retry_after = 0.0
             try:
                 resp = requests.post(
                     f"{self.base_url}/chat/completions",
@@ -273,6 +286,8 @@ class RemoteBackend:
                 continue
             if resp.status_code >= 500 or resp.status_code in _RETRY_STATUS:
                 last_error = f"HTTP {resp.status_code}"
+                if resp.status_code in _RETRY_AFTER_STATUS:
+                    retry_after = _retry_after_seconds(resp.headers.get("Retry-After"))
                 continue
             try:
                 resp.raise_for_status()

@@ -311,11 +311,25 @@ class LexicalMatcher:
 
     def __init__(self, synonyms: Optional[SynonymTable] = None):
         self.synonyms = synonyms if synonyms is not None else SynonymTable.bundled()
+        # reference sets by (text, role): reports and mined reasoning come
+        # from the corpus the process holds, so the memo is bounded by it
+        self._references: dict[tuple[str, Role], ObservationSet] = {}
 
     def extract(self, text: str, role: Role) -> ObservationSet:
-        """Observation set of `text` (its clauses are memoised, see
-        `_clause_observations`)."""
-        return lexical_extract(text, role)
+        """Observation set of `text`. A report or ground-truth text is
+        extracted once per matcher and its frozen set shared; a model text,
+        unbounded and mostly distinct, is extracted on every call (its
+        clauses are memoised, see `_clause_observations`).
+
+        Threads may share the matcher: two that miss the same key at once
+        both extract it, and `setdefault` keeps one of the equal sets."""
+        if role is Role.MODEL:
+            return lexical_extract(text, role)
+        key = (text, role)
+        found = self._references.get(key)
+        if found is None:
+            found = self._references.setdefault(key, lexical_extract(text, role))
+        return found
 
     def _key(self, obs: Observation) -> tuple[Polarity, str]:
         return obs.polarity, self.synonyms.fold(obs.normalized)

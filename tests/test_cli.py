@@ -334,6 +334,11 @@ _MALFORMED = [
     pytest.param("train-config", b'{"grpo": {"seed": 7}}',
                  "config: section 'grpo' cannot set 'seed'; --seed sets it",
                  id="train-config-grpo-seed"),
+    pytest.param("train-config", b'{"grpo": {"clip_mode": "literal"}}',
+                 "config: grpo.clip_mode 'literal' trains nothing in train-toy: with one "
+                 "update per batch the ratio is 1 and min(ratio, 1 - clip_eps) * A has "
+                 "no advantage gradient; use 'standard'",
+                 id="train-config-grpo-literal-clip"),
     # a misspelt key would otherwise fall back to its default unnoticed
     *[pytest.param(f"{command}-config", b'{"matchr": "llm", "synonym_tabel": "x.tsv"}',
                    "config: unknown key 'matchr'", id=f"{command}-config-unknown-key")

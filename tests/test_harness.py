@@ -18,6 +18,7 @@ from radreason.harness import (
     config_hash,
     write_manifest,
 )
+from radreason.observations import LexicalMatcher
 
 
 class TestBootstrapCi:
@@ -194,16 +195,27 @@ class TestCmdScore:
             {"id": None, "line": 2, "error": "invalid UTF-8 at byte 23: invalid start byte"}
         ]
 
-    def test_worker_counts_agree(self, mined_bundle, matcher, tmp_path):
+    def test_worker_counts_agree(self, mined_bundle, tmp_path):
         bundle, _ = mined_bundle
         corpus = load_corpus(bundle.record_file("train", "R"))
+        # three outputs per sample, side by side, and a new matcher for each
+        # run: the threaded run fills an empty reference memo while its
+        # outputs repeat the same report and reasoning
         outputs_path = tmp_path / "outputs.jsonl"
         with outputs_path.open("w") as fh:
             for rec in self._outputs_for(corpus):
-                fh.write(json.dumps(rec) + "\n")
+                think = rec["output"].split("</think>")[0]
+                for output in (
+                    rec["output"],
+                    "<think>No acute findings.</think><answer>A</answer>",
+                    think + " Pleural effusion.</think><answer>B</answer>",
+                ):
+                    fh.write(json.dumps({"id": rec["id"], "output": output}) + "\n")
         p1, p4 = tmp_path / "w1.jsonl", tmp_path / "w4.jsonl"
-        cmd_score(outputs_path, corpus, matcher, p1, workers=1)
-        cmd_score(outputs_path, corpus, matcher, p4, workers=4)
+        assert cmd_score(outputs_path, corpus, LexicalMatcher(), p1, workers=1)[0] == (
+            3 * len(corpus)
+        )
+        cmd_score(outputs_path, corpus, LexicalMatcher(), p4, workers=4)
         assert p1.read_bytes() == p4.read_bytes()
 
 

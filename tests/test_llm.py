@@ -254,9 +254,10 @@ class TestMakeClient:
 
 
 class FakeResponse:
-    def __init__(self, status_code, body=None):
+    def __init__(self, status_code, body=None, headers=None):
         self.status_code = status_code
         self.body = body
+        self.headers = requests.structures.CaseInsensitiveDict(headers or {})
 
     def raise_for_status(self):
         if self.status_code >= 400:
@@ -319,6 +320,40 @@ class TestRemoteBackend:
         assert "retries exhausted: HTTP 500" in str(result)
         assert len(posts) == 3
         assert sleeps == [0.5, 1.0]
+
+    def test_retry_after_seconds_honoured(self, monkeypatch):
+        replies = [
+            FakeResponse(429, headers={"Retry-After": "3"}),
+            FakeResponse(503, headers={"retry-after": " 7 "}),
+            FakeResponse(503, headers={"Retry-After": "0"}),
+            OK,
+        ]
+        result, posts, sleeps = self._run(monkeypatch, replies)
+        # the larger of Retry-After and the backoff 0.5, 1.0, 2.0
+        assert (result, len(posts), sleeps) == ("done", 4, [3.0, 7.0, 2.0])
+
+    @pytest.mark.parametrize("value", [
+        None, "", "soon", "-5", "1.5", "2e3", "\u00b2",
+        "Wed, 21 Oct 2015 07:28:00 GMT",
+    ])
+    def test_retry_after_not_in_seconds_falls_back_to_backoff(self, monkeypatch, value):
+        headers = {} if value is None else {"Retry-After": value}
+        replies = [FakeResponse(429, headers=headers), FakeResponse(503, headers=headers), OK]
+        result, posts, sleeps = self._run(monkeypatch, replies)
+        assert (result, sleeps) == ("done", [0.5, 1.0])
+
+    @pytest.mark.parametrize("status", [408, 500, 502])
+    def test_retry_after_only_on_429_and_503(self, monkeypatch, status):
+        replies = [FakeResponse(status, headers={"Retry-After": "30"}), OK]
+        result, posts, sleeps = self._run(monkeypatch, replies)
+        assert (result, sleeps) == ("done", [0.5])
+
+    def test_no_wait_after_last_attempt_despite_retry_after(self, monkeypatch):
+        replies = [FakeResponse(429, headers={"Retry-After": "9"})] * 2
+        result, posts, sleeps = self._run(monkeypatch, replies, max_retries=2)
+        assert isinstance(result, CompletionError)
+        assert "retries exhausted: HTTP 429" in str(result)
+        assert sleeps == [9.0]
 
     @pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
     def test_client_errors_not_retried(self, monkeypatch, status):

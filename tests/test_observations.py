@@ -1,3 +1,5 @@
+import sys
+import threading
 from unittest.mock import patch
 
 import pytest
@@ -342,3 +344,95 @@ class TestClauseMemo:
         for i in range(maxsize + 100):
             _clause_observations(f"finding {i}")
         assert _clause_observations.cache_info().currsize <= maxsize
+
+
+class TestReferenceMemo:
+    REPORT = "There is mild cardiomegaly. No pneumothorax, clear lungs."
+    REFERENCES = (Role.REPORT, Role.GROUND_TRUTH)
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        """Count `lexical_extract` calls by (text, role)."""
+        calls: dict[tuple[str, Role], int] = {}
+
+        def counting(text, role):
+            calls[text, role] = calls.get((text, role), 0) + 1
+            return lexical_extract(text, role)
+
+        monkeypatch.setattr(observations, "lexical_extract", counting)
+        return calls
+
+    @pytest.mark.parametrize("role", REFERENCES)
+    def test_repeat_returns_same_set(self, role):
+        m = LexicalMatcher()
+        first = m.extract(self.REPORT, role)
+        assert m.extract(self.REPORT, role) is first
+
+    def test_one_extraction_per_text_and_role(self, counted):
+        m = LexicalMatcher()
+        texts = [self.REPORT, "Pleural effusion.", "No edema, no pneumothorax."]
+        for _ in range(3):
+            for text in texts:
+                for role in self.REFERENCES:
+                    m.extract(text, role)
+        assert counted == {(t, r): 1 for t in texts for r in self.REFERENCES}
+
+    def test_model_texts_extracted_every_call(self, counted):
+        m = LexicalMatcher()
+        sets = [m.extract(self.REPORT, Role.MODEL) for _ in range(3)]
+        assert counted == {(self.REPORT, Role.MODEL): 3}
+        assert sets[0] == sets[1] == sets[2]
+
+    def test_matchers_keep_their_own_memo(self):
+        first = LexicalMatcher().extract(self.REPORT, Role.REPORT)
+        assert LexicalMatcher().extract(self.REPORT, Role.REPORT) is not first
+
+    def test_empty_reference_rejected_every_call(self, counted):
+        m = LexicalMatcher()
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                m.extract("  ", Role.REPORT)
+        assert counted == {("  ", Role.REPORT): 2}
+
+    def test_threads_share_one_set_per_key(self):
+        # more threads than cores, the same key order and a short switch
+        # interval, so threads miss the same key at once: each key must
+        # still end with one set
+        m = LexicalMatcher()
+        texts = [f"{c}. {d}." for c in MEMO_CLAUSES[:12] for d in ("edema", "no edema")]
+        keys = [(t, r) for t in texts for r in self.REFERENCES]
+        barrier = threading.Barrier(8)
+        results: list[list[ObservationSet]] = []
+
+        def work():
+            barrier.wait(timeout=10)
+            results.append([m.extract(t, r) for t, r in keys])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(results) == 8
+        for got in results:
+            for key, obs in zip(keys, got):
+                assert obs is m.extract(*key)
+                assert obs == lexical_extract(*key)
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(MEMO_CLAUSES), st.sampled_from([", ", ". ", "; "])),
+            min_size=1, max_size=8,
+        ),
+        st.sampled_from(REFERENCES),
+    )
+    def test_equals_fresh_extraction(self, clauses, role):
+        m = LexicalMatcher()
+        text = "".join(c + sep for c, sep in clauses)
+        memoised = [m.extract(text, role) for _ in range(2)]
+        assert memoised == [lexical_extract(text, role)] * 2
