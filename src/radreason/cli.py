@@ -39,14 +39,16 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _make_matcher(args, config: dict):
+def _make_matcher(args, config: dict, client=None):
+    """The configured matcher; an llm matcher asks `client`, or a client
+    of its own when none is given."""
     backend = config.get("matcher", "lexical")
     if backend == "lexical":
         table = config.get("synonym_table")
         synonyms = SynonymTable.from_file(table) if table else SynonymTable.bundled()
         return LexicalMatcher(synonyms)
     if backend == "llm":
-        return LlmMatcher(_make_llm_client(args, config))
+        return LlmMatcher(client or _make_llm_client(args, config))
     raise ValueError(f"unknown matcher backend {backend!r}")
 
 
@@ -110,8 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("--preset", default=None, help="preset name; omit to list presets")
     p.add_argument("--out", required=True)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
     return parser
 
 
@@ -133,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
             matcher = None
             if args.command == "mine":
                 client = _make_llm_client(args, config)
-                matcher = _make_matcher(args, config)
+                matcher = _make_matcher(args, config, client)
                 bundle, n_rejected = cmd_mine(
                     corpus,
                     client,
@@ -189,10 +189,6 @@ def main(argv: list[str] | None = None) -> int:
                     "no advantage gradient; use 'standard'"
                 )
             grpo_kwargs = {**vars(toy_grpo_config(seed=args.seed)), **sections["grpo"]}
-            if args.steps is not None:
-                grpo_kwargs["steps"] = args.steps
-            if args.lr is not None:
-                grpo_kwargs["learning_rate"] = args.lr
             try:
                 sft_cfg = SftConfig(**sections["sft"])
                 grpo_cfg = GrpoConfig(**grpo_kwargs)

@@ -216,6 +216,11 @@ class MockBackend:
         return self._responses[key]
 
 
+# attempts at one request, the wait before the second (doubled for each
+# later one) and the timeout of one attempt, in seconds
+MAX_RETRIES = 5
+BACKOFF_SECONDS = 0.5
+TIMEOUT_SECONDS = 60.0
 # statuses worth a retry besides 5xx: request timeout, rate limited
 _RETRY_STATUS = frozenset({408, 429})
 # statuses whose Retry-After header asks for a wait (RFC 9110, section 10.2.3)
@@ -237,14 +242,7 @@ class RemoteBackend:
     carries a Retry-After in seconds waits the larger of that and the
     backoff."""
 
-    def __init__(
-        self,
-        base_url: str,
-        model: str = "gpt-4o",
-        max_retries: int = 5,
-        backoff_seconds: float = 0.5,
-        timeout: float = 60.0,
-    ):
+    def __init__(self, base_url: str, model: str = "gpt-4o"):
         if not base_url:
             raise CompletionError("remote backend requires a base_url")
         api_key = os.environ.get(CREDENTIAL_ENV_VAR)
@@ -254,9 +252,6 @@ class RemoteBackend:
             )
         self.base_url = base_url.rstrip("/")
         self.model = model
-        self.max_retries = max_retries
-        self.backoff_seconds = backoff_seconds
-        self.timeout = timeout
         self._api_key = api_key
 
     def complete(self, request: CompletionRequest) -> str:
@@ -270,16 +265,16 @@ class RemoteBackend:
         }
         last_error: object = None
         retry_after = 0.0
-        for attempt in range(self.max_retries):
+        for attempt in range(MAX_RETRIES):
             if attempt:
-                time.sleep(max(retry_after, self.backoff_seconds * 2 ** (attempt - 1)))
+                time.sleep(max(retry_after, BACKOFF_SECONDS * 2 ** (attempt - 1)))
             retry_after = 0.0
             try:
                 resp = requests.post(
                     f"{self.base_url}/chat/completions",
                     json=payload,
                     headers={"Authorization": f"Bearer {self._api_key}"},
-                    timeout=self.timeout,
+                    timeout=TIMEOUT_SECONDS,
                 )
             except requests.RequestException as e:  # transport failure
                 last_error = e

@@ -15,10 +15,10 @@ and differentiated the same way. The uniforms a draw inverts come from
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -199,10 +199,10 @@ class Windows:
     memoised, so a table costs what its sequences visit, not V^context_size
     per prompt. The rows depend on the prompts and on the policy's
     vocabulary, context_size and n_contexts, not on theta, so one table
-    serves every snapshot of a training run.
+    serves every policy value of a training run.
     """
 
-    def __init__(self, policy: ToyPolicy | PolicySnapshot, prompt_keys: Sequence[str]):
+    def __init__(self, policy: ToyPolicy, prompt_keys: Sequence[str]):
         self.prompt_keys = tuple(prompt_keys)
         self.layout = (policy.vocab, policy.context_size, policy.n_contexts)
         self.token_index = policy.token_index
@@ -262,32 +262,36 @@ class Windows:
 _SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ToyPolicy:
-    """Logit table over hashed contexts: the parameters GRPO and SFT update.
+    """Logit table over hashed contexts, and the distribution it defines: an
+    immutable value. Building one copies theta into a read-only array, and
+    `with_theta` returns the policy at other parameters, so GRPO's old and
+    reference policies are just earlier values.
 
-    Sampling and sequence log-probs read a PolicySnapshot, the frozen
-    distribution at the current theta; `sample`, `log_prob` and
-    `log_prob_with_grad` here take a fresh one on every call, so they always
-    see theta as it is now, in-place changes included. Callers that read
-    one distribution many times (a GRPO step) take the snapshot once.
+    The log-softmax of every context row is taken in one vectorised op on
+    first use, and kept. The first draw builds the row CDFs and checks once
+    that every row is a distribution, the check Generator.choice(p=row)
+    makes on each draw. Sampling, log-probs and gradients all read the same
+    tables.
     """
 
     vocab: tuple[str, ...]
-    theta: np.ndarray  # (n_contexts, V) logit table
+    theta: np.ndarray  # (n_contexts, V) logit table, read-only
     context_size: int = 2
     max_length: int = 16
     eos_token: str = "<eos>"
-    _index: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        theta = np.array(self.theta, dtype=float)
+        theta.flags.writeable = False
+        object.__setattr__(self, "theta", theta)
         if self.eos_token not in self.vocab:
             raise ValueError("vocabulary must contain the end token")
-        if self.theta.shape[1] != len(self.vocab):
+        if theta.ndim != 2 or theta.shape[1] != len(self.vocab):
             raise ValueError("theta width must equal vocabulary size")
         if self.context_size < 1:
             raise ValueError("context_size must be >= 1")
-        self._index = {tok: i for i, tok in enumerate(self.vocab)}
 
     @classmethod
     def uniform(
@@ -306,21 +310,17 @@ class ToyPolicy:
             eos_token=eos_token,
         )
 
+    def with_theta(self, theta: np.ndarray) -> "ToyPolicy":
+        """The same policy at parameters `theta` (copied)."""
+        return replace(self, theta=theta)
+
     @property
     def n_contexts(self) -> int:
         return self.theta.shape[0]
 
-    def copy(self) -> "ToyPolicy":
-        return ToyPolicy(
-            vocab=self.vocab,
-            theta=self.theta.copy(),
-            context_size=self.context_size,
-            max_length=self.max_length,
-            eos_token=self.eos_token,
-        )
-
-    def snapshot(self) -> "PolicySnapshot":
-        return PolicySnapshot(self)
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {tok: i for i, tok in enumerate(self.vocab)}
 
     def token_index(self, token: str) -> int:
         try:
@@ -328,45 +328,17 @@ class ToyPolicy:
         except KeyError:
             raise ValueError(f"token {token!r} is outside the vocabulary")
 
-    def log_prob(self, prompt_key: str, tokens: Sequence[str]) -> float:
-        return self.snapshot().log_prob(prompt_key, tokens)
+    @cached_property
+    def log_probs(self) -> np.ndarray:
+        log_probs = _log_softmax(self.theta)
+        log_probs.flags.writeable = False
+        return log_probs
 
-    def log_prob_with_grad(
-        self, prompt_key: str, tokens: Sequence[str]
-    ) -> tuple[float, np.ndarray, np.ndarray]:
-        """See PolicySnapshot.log_prob_with_grad."""
-        return self.snapshot().log_prob_with_grad(prompt_key, tokens)
-
-    def sample(self, prompt_key: str, rng: np.random.Generator) -> tuple[str, ...]:
-        """Seeded ancestral sampling, terminated by the end token or max_length."""
-        return self.snapshot().sample(prompt_key, rng)
-
-
-class PolicySnapshot:
-    """The distribution of a ToyPolicy at one theta, frozen: GRPO's old policy.
-
-    Taking one computes the log-softmax of every context row in one
-    vectorised op. The first draw builds the row CDFs and checks once that
-    every row is a distribution, the check Generator.choice(p=row) makes on
-    each draw. Its tables are copies, read-only, so later updates to the
-    policy never reach it; take a new snapshot after theta changes.
-    Sampling, log-probs and gradients all read the same tables.
-    """
-
-    def __init__(self, policy: ToyPolicy):
-        self.vocab = policy.vocab
-        self.context_size = policy.context_size
-        self.max_length = policy.max_length
-        self.eos_token = policy.eos_token
-        self.n_contexts = policy.n_contexts
-        self.token_index = policy.token_index
-        self.log_probs = _log_softmax(policy.theta)
-        self.probs = np.exp(self.log_probs)
-        self.log_probs.flags.writeable = False
-        self.probs.flags.writeable = False
-
-    def snapshot(self) -> "PolicySnapshot":
-        return self
+    @cached_property
+    def probs(self) -> np.ndarray:
+        probs = np.exp(self.log_probs)
+        probs.flags.writeable = False
+        return probs
 
     @cached_property
     def _cdf(self) -> np.ndarray:
@@ -455,7 +427,8 @@ class PolicySnapshot:
         return float(self.sequence_log_probs(encoded)[0]), rows, grad[rows]
 
     def sample(self, prompt_key: str, rng: np.random.Generator) -> tuple[str, ...]:
-        """One sample. Its uniforms are drawn at once, rng.random(max_length),
+        """Seeded ancestral sampling, terminated by the end token or
+        max_length. Its uniforms are drawn at once, rng.random(max_length),
         so rng moves on by max_length floats whatever the sample's length."""
         encoded = self.sample_tokens(
             Windows(self, (prompt_key,)),
@@ -509,7 +482,7 @@ class GrpoConfig:
             raise ValueError(f"unknown kl_estimator {self.kl_estimator!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupBatch:
     """Sampled outputs in groups, one group per prompt of `windows`, the
     groups stored one after another."""
@@ -518,8 +491,6 @@ class GroupBatch:
     outputs: tuple[tuple[str, ...], ...]
     logp_old: np.ndarray
     tokens: Tokens  # the outputs as arrays, as sample_group records them
-    rewards: Optional[np.ndarray] = None
-    advantages: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         if len(self.outputs) != len(self.logp_old):
@@ -532,33 +503,29 @@ class GroupBatch:
 
 
 def sample_group(
-    policy_old: PolicySnapshot | ToyPolicy,
-    prompts: str | Windows,
-    uniforms: np.ndarray,
+    policy: ToyPolicy, prompts: str | Windows, uniforms: np.ndarray
 ) -> GroupBatch:
-    """One group of samples from the old policy for every prompt of a
-    Windows table at once; a prompt key is a one-prompt table. A ToyPolicy
-    is snapshotted first. `uniforms` holds one row per sample, the groups
-    one after another (see `group_uniforms`), so its row count fixes the
-    group size; sample s inverts the row CDFs at uniforms[s] and ends at the
-    end token or after uniforms.shape[1] tokens. Each sample's log-prob
-    under the snapshot goes to logp_old for the importance ratio, and its
-    tokens to `tokens`."""
-    snap = policy_old.snapshot()
-    windows = Windows(snap, (prompts,)) if isinstance(prompts, str) else prompts
+    """One group of samples from `policy`, GRPO's old policy, for every
+    prompt of a Windows table at once; a prompt key is a one-prompt table.
+    `uniforms` holds one row per sample, the groups one after another (see
+    `group_uniforms`), so its row count fixes the group size; sample s
+    inverts the row CDFs at uniforms[s] and ends at the end token or after
+    uniforms.shape[1] tokens. Each sample's log-prob under `policy` goes to
+    logp_old for the importance ratio, and its tokens to `tokens`."""
+    windows = Windows(policy, (prompts,)) if isinstance(prompts, str) else prompts
     n_groups = len(windows.prompt_keys)
     if not n_groups or len(uniforms) % n_groups:
         raise ValueError("sample_group needs one equal group of uniforms per prompt")
     group_size = len(uniforms) // n_groups
     if group_size < 2:
         raise ValueError("group_size must be >= 2")
-    tokens = snap.sample_tokens(
+    tokens = policy.sample_tokens(
         windows, np.repeat(np.arange(n_groups), group_size), uniforms
     )
     return GroupBatch(
         windows=windows,
-        outputs=snap.decode(tokens),
-        logp_old=snap.sequence_log_probs(tokens),
+        outputs=policy.decode(tokens),
+        logp_old=policy.sequence_log_probs(tokens),
         tokens=tokens,
     )
 
@@ -599,27 +566,24 @@ def kl_penalty(
 
 
 def grpo_objective(
-    policy: ToyPolicy | PolicySnapshot,
+    policy: ToyPolicy,
     batch: GroupBatch,
+    advantages: np.ndarray,
     cfg: GrpoConfig,
 ) -> tuple[float, np.ndarray]:
     """Clipped-surrogate objective with KL penalty and entropy bonus, the
-    mean over the batch's groups; returns the value and its exact gradient
-    in theta. A group's objective is the mean over its outputs, plus the
-    mean entropy of the rows that group visits. It reads one snapshot of
-    `policy` (a PolicySnapshot is its own), so both are taken at the theta
-    of that snapshot; the gradient is non-zero only in visited rows."""
-    if batch.rewards is None or batch.advantages is None:
-        raise ValueError("batch must have rewards and advantages filled")
-    if len(batch.outputs) != len(batch.advantages):
+    mean over the batch's groups, given each output's advantage; returns
+    the value and its exact gradient in `policy`'s theta. A group's
+    objective is the mean over its outputs, plus the mean entropy of the
+    rows that group visits; the gradient is non-zero only in visited rows."""
+    if len(batch.outputs) != len(advantages):
         raise ValueError("mismatched group size")
-    snap = policy.snapshot()
     n_groups = len(batch.windows.prompt_keys)
     G = len(batch.outputs) // n_groups
     tokens = batch.tokens
-    a = np.asarray(batch.advantages, dtype=float)
+    a = np.asarray(advantages, dtype=float)
     logp_old = np.asarray(batch.logp_old, dtype=float)
-    logp_new = snap.sequence_log_probs(tokens)
+    logp_new = policy.sequence_log_probs(tokens)
     rho = np.exp(logp_new - logp_old)
     eps = cfg.clip_eps
     if cfg.clip_mode == "standard":
@@ -639,19 +603,19 @@ def grpo_objective(
     scale = 1.0 / (G * n_groups)
     value = float((surr - cfg.kl_coef * kl).sum()) * scale
     weights = (np.where(active, a * rho, 0.0) - cfg.kl_coef * gkl) * scale
-    grad = snap.scatter_grad(tokens, weights)
+    grad = policy.scatter_grad(tokens, weights)
     if cfg.entropy_coef > 0:
         # each group weighs the rows it visits equally
         group = np.broadcast_to(
             np.repeat(np.arange(n_groups), G)[:, None], tokens.mask.shape
         )
-        visited = np.zeros((n_groups, snap.n_contexts))
+        visited = np.zeros((n_groups, policy.n_contexts))
         visited[group[tokens.mask], tokens.rows[tokens.mask]] = 1.0
         share = (visited / np.maximum(visited.sum(axis=1, keepdims=True), 1.0)).sum(
             axis=0
         ) / n_groups
         rows = np.flatnonzero(share)
-        h, gh = _entropy_with_grad(snap.log_probs[rows])
+        h, gh = _entropy_with_grad(policy.log_probs[rows])
         value += cfg.entropy_coef * float(share[rows] @ h)
         grad[rows] += cfg.entropy_coef * share[rows, None] * gh
     return value, grad

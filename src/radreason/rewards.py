@@ -100,17 +100,13 @@ class RewardConfig:
 
 
 def total_reward(
-    output: str,
-    sample: VqaSample,
-    partition: Optional[PartitionTag] = None,
-    config: Optional[RewardConfig] = None,
+    output: str, sample: VqaSample, config: Optional[RewardConfig] = None
 ) -> RewardBreakdown:
-    """Unweighted component sum; process component only on reasoning-augmented
-    samples (and only when enabled by config). The output's tags are parsed
-    once, for all three components."""
+    """Unweighted component sum under the sample's partition; process
+    component only on reasoning-augmented samples (and only when enabled by
+    config). The output's tags are parsed once, for all three components."""
     config = config or RewardConfig()
-    if partition is None:
-        partition = sample.partition
+    partition = sample.partition
     if partition is None:
         raise ValueError(f"sample {sample.id}: partition undefined (mixed sample)")
     tagged = parse_tags(output)

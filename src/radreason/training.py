@@ -24,7 +24,6 @@ from .core import (
 )
 from .policy import (
     GrpoConfig,
-    PolicySnapshot,
     SftBatch,
     ToyPolicy,
     Windows,
@@ -122,23 +121,21 @@ def train_sft(
     policy: ToyPolicy, corpus: Corpus, cfg: SftConfig
 ) -> tuple[ToyPolicy, list[StepStats]]:
     """Full-batch gradient descent on the mean SFT loss: every step scores
-    all targets under one snapshot and descends along one scatter of their
-    gradients. The targets' rows do not depend on theta, so they are
+    all targets under the current policy and descends along one scatter of
+    their gradients. The targets' rows do not depend on theta, so they are
     encoded once, for the whole run."""
     if len(corpus) == 0:
         raise PresetError("sft stage: empty corpus")
     batches = make_sft_batches(corpus)
-    policy = policy.copy()
     n = len(batches)
     windows = Windows(policy, [b.prompt_key for b in batches])
     tokens = windows.encode([b.target for b in batches], np.arange(n))
     stats = []
     for step in range(cfg.steps):
-        snap = policy.snapshot()
         # minus each target's log-prob, summed in target order
-        total_loss = sum((-snap.sequence_log_probs(tokens)).tolist()) / n
-        grad = snap.scatter_grad(tokens, np.full(n, -1.0)) / n
-        policy.theta = policy.theta - cfg.learning_rate * grad
+        total_loss = sum((-policy.sequence_log_probs(tokens)).tolist()) / n
+        grad = policy.scatter_grad(tokens, np.full(n, -1.0)) / n
+        policy = policy.with_theta(policy.theta - cfg.learning_rate * grad)
         stats.append(StepStats(step=step, stage="sft", loss=total_loss))
     return policy, stats
 
@@ -156,7 +153,7 @@ def _group_rewards(
 
 
 def _probe_factuality(
-    policy: PolicySnapshot,
+    policy: ToyPolicy,
     windows: Windows,
     probe_samples: list[VqaSample],
     matcher,
@@ -218,19 +215,17 @@ def train_grpo(
     cfg: GrpoConfig,
 ) -> tuple[ToyPolicy, list[StepStats]]:
     """Full-batch updates: every step samples one group per prompt from the
-    old policy, all groups together, then applies one optimizer step along
-    the mean of the group objectives. The old policy is a snapshot taken
-    after each update: it serves that step's KL estimate and probe, then
-    the next step's sampling and objective (theta does not change within a
-    step, so it is also the live policy there). Fully deterministic given
-    (corpus, config, seed)."""
+    policy, all groups together, then applies one optimizer step along the
+    mean of the group objectives. The policy that drew a batch is also the
+    one its objective differentiates (one update per batch); the updated
+    policy serves that step's KL estimate and probe, then draws the next
+    batch. Fully deterministic given (corpus, config, seed)."""
     if len(corpus) == 0:
         raise PresetError("grpo stage: empty corpus")
     samples = sorted(corpus.samples, key=lambda s: s.id)
     probe_samples = [
         s for s in samples if s.partition is PartitionTag.REASONING_AUGMENTED
     ]
-    policy = policy.copy()
     # the rows every prompt can read: they do not depend on theta, so the
     # tables serve the whole run
     windows = Windows(
@@ -240,11 +235,10 @@ def train_grpo(
         policy, [render_instruction(s, PromptMode.COT) for s in probe_samples]
     )
     G = cfg.group_size
-    policy_old = policy.snapshot()
     stats = []
     draws = _step_uniforms(cfg, len(samples), len(probe_samples), policy.max_length)
     for step, (uniforms, probe_uniforms) in enumerate(draws):
-        batch = sample_group(policy_old, windows, uniforms)
+        batch = sample_group(policy, windows, uniforms)
         groups = [
             _group_rewards(
                 batch.outputs[j * G : (j + 1) * G], sample, reward_cfg, policy.eos_token
@@ -252,32 +246,27 @@ def train_grpo(
             for j, sample in enumerate(samples)
         ]
         rewards = np.array([[b.total for b in group] for group in groups])
-        batch.rewards = rewards.ravel()
-        batch.advantages = advantages(rewards).ravel()
-        _, grad = grpo_objective(policy_old, batch, cfg)
-        policy.theta = policy.theta + cfg.learning_rate * grad
-        # the updated policy, frozen: the probe and the KL estimate read it
-        # now, and the next step samples from it as its old policy
-        policy_old = policy.snapshot()
+        _, grad = grpo_objective(policy, batch, advantages(rewards).ravel(), cfg)
+        policy = policy.with_theta(policy.theta + cfg.learning_rate * grad)
 
         probe = None
         if probe_uniforms is not None:
             probe = _probe_factuality(
-                policy_old,
+                policy,
                 probe_windows,
                 probe_samples,
                 reward_cfg.matcher,
                 probe_uniforms,
             )
         kl_new = kl_penalty(
-            batch.logp_old, policy_old.sequence_log_probs(batch.tokens), cfg.kl_estimator
+            batch.logp_old, policy.sequence_log_probs(batch.tokens), cfg.kl_estimator
         )
         breakdowns = [b for group in groups for b in group]
         stats.append(
             StepStats(
                 step=step,
                 stage="grpo",
-                mean_reward=float(batch.rewards.mean()),
+                mean_reward=float(rewards.mean()),
                 mean_format=float(np.mean([b.format for b in breakdowns])),
                 mean_outcome=float(np.mean([b.outcome for b in breakdowns])),
                 mean_process=float(np.mean([b.process for b in breakdowns])),

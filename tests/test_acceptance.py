@@ -213,7 +213,7 @@ def test_criterion_04_reward_composition(matcher):
     samples = {A: _answer_only_sample(), R: _reasoning_sample()}
     totals = {A: set(), R: set()}
     for output, part, want_f, want_o, want_p in REWARD_CASES:
-        b = total_reward(output, samples[part], part, cfg)
+        b = total_reward(output, samples[part], cfg)
         assert (b.format, b.outcome, b.process) == (want_f, want_o, want_p), output
         assert b.total == want_f + want_o + want_p
         totals[part].add(b.total)
@@ -229,8 +229,8 @@ def test_criterion_04_reward_composition(matcher):
          "<think>rib fracture</think><answer>B</answer>"),
     ]
     for left, right in pairs:
-        bl = total_reward(left, samples[R], R, cfg)
-        br = total_reward(right, samples[R], R, cfg)
+        bl = total_reward(left, samples[R], cfg)
+        br = total_reward(right, samples[R], cfg)
         assert (bl.format, bl.outcome) == (br.format, br.outcome)
         assert bl.process != br.process
     _pass(4, "reward composition")
@@ -252,15 +252,18 @@ def test_criterion_05_advantage_normalization():
     _pass(5, "advantage normalization")
 
 
-def _fd_gradient(fn, theta, h=1e-5):
+def _fd_gradient(fn, policy, h=1e-5):
+    """Central differences of fn(policy) in each entry of its theta, each
+    taken on a perturbed copy."""
+    theta = policy.theta.copy()
     grad = np.zeros_like(theta)
     it = np.nditer(theta, flags=["multi_index"])
     for _ in it:
         idx = it.multi_index
         theta[idx] += h
-        up = fn()
+        up = fn(policy.with_theta(theta))
         theta[idx] -= 2 * h
-        down = fn()
+        down = fn(policy.with_theta(theta))
         theta[idx] += h
         grad[idx] = (up - down) / (2 * h)
     return grad
@@ -278,12 +281,12 @@ def test_criterion_06_gradient_checks():
     worst = 0.0
     for _ in range(100):
         policy = ToyPolicy.uniform(vocab, n_contexts=6, max_length=4)
-        policy.theta = rng.normal(size=policy.theta.shape) * 0.5
+        policy = policy.with_theta(rng.normal(size=policy.theta.shape) * 0.5)
         length = int(rng.integers(1, 6))
         target = tuple(vocab[i] for i in rng.integers(0, len(vocab), size=length))
         batch = SftBatch(prompt_key="p", target=target)
         _, grad = sft_loss(policy, batch)
-        fd = _fd_gradient(lambda: sft_loss(policy, batch)[0], policy.theta)
+        fd = _fd_gradient(lambda p: sft_loss(p, batch)[0], policy)
         worst = max(worst, _rel_err(grad, fd))
     assert worst < 1e-5, f"sft gradient rel err {worst:.2e}"
 
@@ -294,9 +297,10 @@ def test_criterion_06_gradient_checks():
         attempt += 1
         assert attempt < 1000, "could not find enough kink-free grpo instances"
         policy_old = ToyPolicy.uniform(vocab, n_contexts=6, max_length=4)
-        policy_old.theta = rng.normal(size=policy_old.theta.shape) * 0.5
-        policy = policy_old.copy()
-        policy.theta += rng.normal(size=policy.theta.shape) * 0.1
+        policy_old = policy_old.with_theta(rng.normal(size=policy_old.theta.shape) * 0.5)
+        policy = policy_old.with_theta(
+            policy_old.theta + rng.normal(size=policy_old.theta.shape) * 0.1
+        )
         cfg = GrpoConfig(
             group_size=4,
             clip_mode=("standard", "literal")[attempt % 2],
@@ -307,8 +311,7 @@ def test_criterion_06_gradient_checks():
         batch = sample_group(
             policy_old, "p", group_uniforms([attempt], cfg.group_size, policy_old.max_length)
         )
-        batch.rewards = rng.uniform(0, 3, size=cfg.group_size)
-        batch.advantages = advantages(batch.rewards)
+        adv = advantages(rng.uniform(0, 3, size=cfg.group_size))
         # the clipped surrogate is non-differentiable where the ratio sits on
         # a clip boundary; such instances are outside the oracle's domain
         rhos = [
@@ -318,10 +321,8 @@ def test_criterion_06_gradient_checks():
         eps = cfg.clip_eps
         if any(abs(r - (1 - eps)) < 1e-3 or abs(r - (1 + eps)) < 1e-3 for r in rhos):
             continue
-        _, grad = grpo_objective(policy, batch, cfg)
-        fd = _fd_gradient(
-            lambda: grpo_objective(policy, batch, cfg)[0], policy.theta
-        )
+        _, grad = grpo_objective(policy, batch, adv, cfg)
+        fd = _fd_gradient(lambda p: grpo_objective(p, batch, adv, cfg)[0], policy)
         worst = max(worst, _rel_err(grad, fd))
         checked += 1
     assert worst < 1e-5, f"grpo gradient rel err {worst:.2e}"

@@ -441,3 +441,35 @@ def test_outputs_match_golden_digests(tmp_path, data_dir, monkeypatch, capsys):
                Path("scores.jsonl"), Path("report.json")]
     digests = {p.as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
     assert digests == _GOLDEN
+
+
+def test_mine_with_llm_matcher_builds_one_client(tmp_path, data_dir, monkeypatch):
+    # the miner and its llm matcher share one completion client, so the
+    # mock fixture is parsed once and one response cache serves both
+    from radreason import llm
+
+    loads = []
+    from_file = llm.MockBackend.from_file.__func__
+
+    def counting(cls, path):
+        loads.append(path)
+        return from_file(cls, path)
+
+    monkeypatch.setattr(llm.MockBackend, "from_file", classmethod(counting))
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({
+            "matcher": "llm",
+            "mock_fixture": str(data_dir / "mining_fixture.jsonl"),
+            "cache_dir": str(tmp_path / "cache"),
+        }),
+        encoding="utf-8",
+    )
+    # the fixture holds no matcher responses, so the run stops at the first
+    # match request, after both parts of the command were built
+    main([
+        "--config", str(config),
+        "mine", str(data_dir / "fixture_corpus.jsonl"),
+        "--out", str(tmp_path / "bench"),
+    ])
+    assert loads == [str(data_dir / "mining_fixture.jsonl")]

@@ -286,9 +286,8 @@ class TestRemoteBackend:
         monkeypatch.setenv("RADREASON_API_KEY", "test-key")
         monkeypatch.setattr(requests, "post", post)
         monkeypatch.setattr(llm.time, "sleep", sleeps.append)
-        backend = RemoteBackend(
-            "https://example.invalid", max_retries=max_retries, backoff_seconds=0.5
-        )
+        monkeypatch.setattr(llm, "MAX_RETRIES", max_retries)
+        backend = RemoteBackend("https://example.invalid")
         try:
             result = backend.complete(CompletionRequest("plan", "1", "prompt"))
         except CompletionError as e:

@@ -1,5 +1,6 @@
 import math
 import zlib
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -27,18 +28,20 @@ VOCAB = ("a", "b", "c", "<eos>")
 
 def random_policy(rng, n_contexts=8, vocab=VOCAB, scale=0.5, max_length=4):
     policy = ToyPolicy.uniform(vocab, n_contexts=n_contexts, max_length=max_length)
-    policy.theta = rng.normal(size=policy.theta.shape) * scale
-    return policy
+    return policy.with_theta(rng.normal(size=policy.theta.shape) * scale)
 
 
-def finite_difference(fn, theta, h=1e-5):
+def finite_difference(fn, policy, h=1e-5):
+    """Central differences of fn(policy) in each entry of its theta, each
+    taken on a perturbed copy."""
+    theta = policy.theta.copy()
     grad = np.zeros_like(theta)
     for i in range(theta.shape[0]):
         for j in range(theta.shape[1]):
             theta[i, j] += h
-            up = fn()
+            up = fn(policy.with_theta(theta))
             theta[i, j] -= 2 * h
-            down = fn()
+            down = fn(policy.with_theta(theta))
             theta[i, j] += h
             grad[i, j] = (up - down) / (2 * h)
     return grad
@@ -47,7 +50,7 @@ def finite_difference(fn, theta, h=1e-5):
 class TestToyPolicy:
     def test_log_probs_normalize(self):
         policy = random_policy(np.random.default_rng(0))
-        for row in policy.snapshot().log_probs:
+        for row in policy.log_probs:
             assert abs(np.exp(row).sum() - 1.0) < 1e-12
 
     def test_unknown_token_rejected(self):
@@ -64,6 +67,33 @@ class TestToyPolicy:
         with pytest.raises(ValueError, match="context_size"):
             ToyPolicy.uniform(VOCAB, context_size=0)
 
+    def test_theta_is_a_read_only_copy(self):
+        theta = np.random.default_rng(18).normal(size=(8, len(VOCAB)))
+        policy = ToyPolicy(VOCAB, theta)
+        assert not policy.theta.flags.writeable
+        assert not np.shares_memory(policy.theta, theta)
+        before = theta.copy()
+        theta += 1.0
+        assert np.array_equal(policy.theta, before)
+        with pytest.raises(ValueError, match="read-only"):
+            policy.theta[0, 0] = 0.0
+        with pytest.raises(FrozenInstanceError):
+            policy.theta = theta
+
+    def test_with_theta_leaves_the_original_unchanged(self):
+        policy = random_policy(np.random.default_rng(19))
+        theta, log_probs = policy.theta.copy(), policy.log_probs.copy()
+        sample = policy.sample("p", np.random.default_rng(1))
+        moved_theta = policy.theta.copy()
+        moved_theta[:, policy.token_index("<eos>")] += 60.0
+        moved = policy.with_theta(moved_theta)
+        assert moved.sample("p", np.random.default_rng(1)) == ("<eos>",)
+        assert np.array_equal(policy.theta, theta)
+        assert np.array_equal(policy.log_probs, log_probs)
+        assert policy.sample("p", np.random.default_rng(1)) == sample
+        layout = lambda p: (p.vocab, p.context_size, p.max_length, p.eos_token)
+        assert layout(moved) == layout(policy)
+
     def test_sampling_deterministic_for_seed(self):
         policy = random_policy(np.random.default_rng(2))
         a = policy.sample("p", np.random.default_rng(42))
@@ -79,7 +109,7 @@ class TestToyPolicy:
 
     def test_first_token_frequencies_match_probs(self):
         policy = random_policy(np.random.default_rng(4))
-        probs = policy.snapshot().probs[reference_row(policy, "p", ())]
+        probs = policy.probs[reference_row(policy, "p", ())]
         rng = np.random.default_rng(7)
         n = 4000
         counts = np.zeros(len(VOCAB))
@@ -96,8 +126,7 @@ class TestToyPolicy:
         grad = np.zeros_like(policy.theta)
         grad[3] = row
         fd = finite_difference(
-            lambda: float(_entropy_with_grad(reference_row_log_probs(policy, 3))[0]),
-            policy.theta,
+            lambda p: float(_entropy_with_grad(reference_row_log_probs(p, 3))[0]), policy
         )
         assert np.max(np.abs(grad - fd)) < 1e-7
 
@@ -204,43 +233,6 @@ class TestSnapshot:
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
         assert policy.sample(prompt, rng_a) == reference_sample(policy, prompt, rng_b)
 
-    def test_calls_see_theta_mutated_in_place(self):
-        policy = ToyPolicy.uniform(VOCAB, n_contexts=8, max_length=4)
-        policy.theta[:, policy.token_index("a")] = 30.0
-        batch = sample_group(policy, "p", group_uniforms([0], 2, policy.max_length))
-        batch.rewards = np.array([0.0, 1.0])
-        batch.advantages = advantages(batch.rewards)
-        cfg = GrpoConfig(group_size=2, kl_coef=0.01, entropy_coef=0.01)
-        snap = policy.snapshot()
-        objective_before = grpo_objective(policy, batch, cfg)
-        before = (
-            policy.sample("p", np.random.default_rng(1)),
-            policy.log_prob("p", ("a", "<eos>")),
-            objective_before[0],
-        )
-        assert before[0] == ("a",) * 4
-
-        policy.theta[:, policy.token_index("<eos>")] += 60.0
-        fresh = policy.copy()
-        after = (
-            policy.sample("p", np.random.default_rng(1)),
-            policy.log_prob("p", ("a", "<eos>")),
-            grpo_objective(policy, batch, cfg)[0],
-        )
-        assert after == (
-            fresh.sample("p", np.random.default_rng(1)),
-            fresh.log_prob("p", ("a", "<eos>")),
-            grpo_objective(fresh, batch, cfg)[0],
-        )
-        assert after[0] == ("<eos>",)
-        assert after[1] != before[1] and after[2] != before[2]
-        # a snapshot keeps the distribution it was taken at
-        assert snap.sample("p", np.random.default_rng(1)) == before[0]
-        assert snap.log_prob("p", ("a", "<eos>")) == before[1]
-        value, grad = grpo_objective(snap, batch, cfg)
-        assert value == objective_before[0]
-        assert np.array_equal(grad, objective_before[1])
-
     def test_log_prob_with_grad_matches_fd(self):
         policy = random_policy(np.random.default_rng(10))
         tokens = ("a", "b", "a", "b", "<eos>")
@@ -248,12 +240,14 @@ class TestSnapshot:
         assert logp == policy.log_prob("p", tokens)
         grad = np.zeros_like(policy.theta)
         grad[rows] = grad_rows
-        fd = finite_difference(lambda: policy.log_prob("p", tokens), policy.theta)
+        fd = finite_difference(lambda p: p.log_prob("p", tokens), policy)
         assert np.max(np.abs(grad - fd)) < 1e-7
 
     def test_non_finite_theta_refused_by_sampler(self):
         policy = random_policy(np.random.default_rng(11))
-        policy.theta[3, 0] = np.inf
+        theta = policy.theta.copy()
+        theta[3, 0] = np.inf
+        policy = policy.with_theta(theta)
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="row 3"):
             policy.sample("p", np.random.default_rng(0))
 
@@ -272,7 +266,7 @@ class TestSft:
         policy = random_policy(rng)
         batch = SftBatch(prompt_key="p", target=("a", "b", "c", "<eos>"))
         _, grad = sft_loss(policy, batch)
-        fd = finite_difference(lambda: sft_loss(policy, batch)[0], policy.theta)
+        fd = finite_difference(lambda p: sft_loss(p, batch)[0], policy)
         assert np.max(np.abs(grad - fd)) < 1e-6
 
     def test_empty_target_rejected(self):
@@ -335,7 +329,7 @@ class TestKl:
         old = random_policy(rng, max_length=1)
         new = random_policy(rng, max_length=1)
         b = reference_row(old, "p", ())
-        p_old = old.snapshot().probs[b]
+        p_old = old.probs[b]
         expected = 0.0
         for tok in VOCAB:
             lp_o = old.log_prob("p", (tok,))
@@ -358,11 +352,10 @@ class TestKl:
     def test_objective_penalises_with_the_estimator(self, estimator):
         # zero advantages and no entropy bonus: the objective is minus the
         # mean KL estimate of the batch, elementwise over its outputs
-        policy, batch = make_step(16)
-        batch.advantages = np.zeros(len(batch.outputs))
+        policy, batch, _ = make_step(16)
         cfg = GrpoConfig(group_size=3, kl_coef=1.0, entropy_coef=0.0,
                          kl_estimator=estimator)
-        value, _ = grpo_objective(policy, batch, cfg)
+        value, _ = grpo_objective(policy, batch, np.zeros(len(batch.outputs)), cfg)
         logp_new = [
             policy.log_prob(batch.windows.prompt_keys[s // 3], out)
             for s, out in enumerate(batch.outputs)
@@ -398,40 +391,33 @@ def make_group(seed, group_size=4):
     batch = sample_group(
         policy_old, "p", group_uniforms([seed], group_size, policy_old.max_length)
     )
-    batch.rewards = rng.uniform(0, 3, size=group_size)
-    batch.advantages = advantages(batch.rewards)
-    return policy, policy_old, batch
+    adv = advantages(rng.uniform(0, 3, size=group_size))
+    return policy, policy_old, batch, adv
 
 
 class TestGrpoObjective:
-    def test_requires_filled_batch(self):
-        policy, policy_old, batch = make_group(0)
-        empty = GroupBatch(batch.windows, batch.outputs, batch.logp_old, batch.tokens)
-        with pytest.raises(ValueError, match="rewards"):
-            grpo_objective(policy, empty, GrpoConfig())
-
     def test_sample_group_records_old_logp(self):
-        _, policy_old, batch = make_group(1)
+        _, policy_old, batch, _ = make_group(1)
         for out, lp in zip(batch.outputs, batch.logp_old):
             assert abs(policy_old.log_prob("p", out) - lp) < 1e-12
 
     def test_sample_group_deterministic(self):
-        _, policy_old, _ = make_group(2)
+        _, policy_old, _, _ = make_group(2)
         a = sample_group(policy_old, "p", group_uniforms([5], 4, policy_old.max_length))
         b = sample_group(policy_old, "p", group_uniforms([5], 4, policy_old.max_length))
         assert a.outputs == b.outputs
 
     def test_identical_policies_give_unit_ratio_value(self):
-        _, policy_old, batch = make_group(3)
+        _, policy_old, batch, adv = make_group(3)
         cfg = GrpoConfig(group_size=4, kl_coef=0.0, entropy_coef=0.0)
-        value, _ = grpo_objective(policy_old, batch, cfg)
+        value, _ = grpo_objective(policy_old, batch, adv, cfg)
         # rho == 1 everywhere: value is the mean advantage, which is 0
-        assert abs(value - float(batch.advantages.mean())) < 1e-12
+        assert abs(value - float(adv.mean())) < 1e-12
 
     @pytest.mark.parametrize("clip_mode", ["standard", "literal"])
     @pytest.mark.parametrize("kl_estimator", ["log_ratio", "k3"])
     def test_gradient_matches_fd(self, clip_mode, kl_estimator):
-        policy, policy_old, batch = make_group(4)
+        policy, _, batch, adv = make_group(4)
         cfg = GrpoConfig(
             group_size=4,
             clip_mode=clip_mode,
@@ -439,44 +425,42 @@ class TestGrpoObjective:
             kl_coef=0.01,
             entropy_coef=0.01,
         )
-        _, grad = grpo_objective(policy, batch, cfg)
-        fd = finite_difference(
-            lambda: grpo_objective(policy, batch, cfg)[0], policy.theta
-        )
+        _, grad = grpo_objective(policy, batch, adv, cfg)
+        fd = finite_difference(lambda p: grpo_objective(p, batch, adv, cfg)[0], policy)
         assert np.max(np.abs(grad - fd)) < 1e-6
 
     def test_literal_mode_caps_upside(self):
         # with a positive advantage and rho >> 1, the literal form stays at
         # (1 - eps) * A while the standard form reaches (1 + eps) * A
         policy_old = ToyPolicy.uniform(VOCAB, n_contexts=8, max_length=4)
-        policy = policy_old.copy()
+        theta = policy_old.theta.copy()
         output = ("a", "<eos>")
         for t in range(len(output)):
-            b = reference_row(policy, "p", output[:t])
-            policy.theta[b, policy.token_index(output[t])] += 5.0
+            b = reference_row(policy_old, "p", output[:t])
+            theta[b, policy_old.token_index(output[t])] += 5.0
+        policy = policy_old.with_theta(theta)
         windows = Windows(policy, ["p"])
         batch = GroupBatch(
             windows=windows,
             outputs=(output,),
             logp_old=np.array([policy_old.log_prob("p", output)]),
             tokens=windows.encode((output,), np.zeros(1, dtype=np.intp)),
-            rewards=np.array([1.0]),
-            advantages=np.array([1.0]),
         )
         assert math.exp(policy.log_prob("p", output) - batch.logp_old[0]) > 1.2
         base = dict(kl_coef=0.0, entropy_coef=0.0)
+        adv = np.array([1.0])
         v_std, _ = grpo_objective(
-            policy, batch, GrpoConfig(clip_mode="standard", **base)
+            policy, batch, adv, GrpoConfig(clip_mode="standard", **base)
         )
         v_lit, _ = grpo_objective(
-            policy, batch, GrpoConfig(clip_mode="literal", **base)
+            policy, batch, adv, GrpoConfig(clip_mode="literal", **base)
         )
         assert abs(v_std - 1.2) < 1e-12
         assert abs(v_lit - 0.8) < 1e-12
 
 
 def make_step(seed, prompts=("p", "q", "r"), group_size=3):
-    """A batch of one group per prompt, drawn together, with rewards."""
+    """A batch of one group per prompt, drawn together, and its advantages."""
     rng = np.random.default_rng(seed)
     policy_old = random_policy(rng)
     policy = random_policy(rng, scale=0.3)
@@ -486,9 +470,7 @@ def make_step(seed, prompts=("p", "q", "r"), group_size=3):
         policy_old, windows, group_uniforms(seeds, group_size, policy_old.max_length)
     )
     rewards = rng.uniform(0, 3, size=(len(prompts), group_size))
-    batch.rewards = rewards.ravel()
-    batch.advantages = np.concatenate([advantages(r) for r in rewards])
-    return policy, batch
+    return policy, batch, np.concatenate([advantages(r) for r in rewards])
 
 
 class TestLockstepStep:
@@ -551,7 +533,7 @@ class TestLockstepStep:
     @pytest.mark.parametrize("clip_mode", ["standard", "literal"])
     @pytest.mark.parametrize("kl_estimator", ["log_ratio", "k3"])
     def test_step_gradient_matches_fd(self, clip_mode, kl_estimator):
-        policy, batch = make_step(13)
+        policy, batch, adv = make_step(13)
         cfg = GrpoConfig(
             group_size=3,
             clip_mode=clip_mode,
@@ -559,16 +541,14 @@ class TestLockstepStep:
             kl_coef=0.01,
             entropy_coef=0.01,
         )
-        _, grad = grpo_objective(policy, batch, cfg)
-        fd = finite_difference(
-            lambda: grpo_objective(policy, batch, cfg)[0], policy.theta
-        )
+        _, grad = grpo_objective(policy, batch, adv, cfg)
+        fd = finite_difference(lambda p: grpo_objective(p, batch, adv, cfg)[0], policy)
         assert np.max(np.abs(grad - fd)) < 1e-6
 
     @pytest.mark.parametrize("clip_mode", ["standard", "literal"])
     @pytest.mark.parametrize("kl_estimator", ["log_ratio", "k3"])
     def test_step_is_mean_of_one_group_objectives(self, clip_mode, kl_estimator):
-        policy, batch = make_step(14)
+        policy, batch, adv = make_step(14)
         cfg = GrpoConfig(
             group_size=3,
             clip_mode=clip_mode,
@@ -576,7 +556,7 @@ class TestLockstepStep:
             kl_coef=0.01,
             entropy_coef=0.01,
         )
-        value, grad = grpo_objective(policy, batch, cfg)
+        value, grad = grpo_objective(policy, batch, adv, cfg)
         G = 3
 
         def one_group(j, prompt):
@@ -587,12 +567,10 @@ class TestLockstepStep:
                 outputs=outputs,
                 logp_old=batch.logp_old[j * G : (j + 1) * G],
                 tokens=windows.encode(outputs, np.zeros(G, dtype=np.intp)),
-                rewards=batch.rewards[j * G : (j + 1) * G],
-                advantages=batch.advantages[j * G : (j + 1) * G],
             )
 
         groups = [
-            grpo_objective(policy, one_group(j, prompt), cfg)
+            grpo_objective(policy, one_group(j, prompt), adv[j * G : (j + 1) * G], cfg)
             for j, prompt in enumerate(batch.windows.prompt_keys)
         ]
         assert abs(value - np.mean([v for v, _ in groups])) < 1e-12
@@ -611,19 +589,16 @@ class TestLockstepStep:
             for k, outs in groups.items()
         }
         assert visited == {"p": {0, 1, 2}, "q": {1, 2}}
-        snap = policy.snapshot()
         outputs = groups["p"] + groups["q"]
         windows = Windows(policy, tuple(groups))
         batch = GroupBatch(
             windows=windows,
             outputs=outputs,
-            logp_old=np.array([snap.log_prob(k, o) for k in groups for o in groups[k]]),
+            logp_old=np.array([policy.log_prob(k, o) for k in groups for o in groups[k]]),
             tokens=windows.encode(outputs, np.repeat(np.arange(2), 2)),
-            rewards=np.zeros(4),
-            advantages=np.zeros(4),
         )
         cfg = GrpoConfig(group_size=2, kl_coef=0.0, entropy_coef=0.5)
-        value, grad = grpo_objective(policy, batch, cfg)
+        value, grad = grpo_objective(policy, batch, np.zeros(4), cfg)
         expected_value, expected = 0.0, np.zeros_like(policy.theta)
         for rows in visited.values():
             for b in rows:

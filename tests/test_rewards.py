@@ -130,20 +130,20 @@ class TestProcessReward:
 class TestTotalReward:
     def test_answer_only_composition(self):
         s = make_sample()
-        b = total_reward("<answer>A</answer>", s, A)
+        b = total_reward("<answer>A</answer>", s)
         assert (b.format, b.outcome, b.process, b.total) == (1.0, 1.0, 0.0, 2.0)
 
     def test_reasoning_composition(self, matcher):
         s = reasoning_sample()
         out = "<think>pleural effusion</think><answer>A</answer>"
-        b = total_reward(out, s, R, RewardConfig(matcher=matcher))
+        b = total_reward(out, s, RewardConfig(matcher=matcher))
         assert (b.format, b.outcome, b.process, b.total) == (1.0, 1.0, 1.0, 3.0)
 
     def test_process_disabled_by_config(self, matcher):
         s = reasoning_sample()
         out = "<think>pleural effusion</think><answer>A</answer>"
         cfg = RewardConfig(matcher=matcher, use_process_reward=False)
-        b = total_reward(out, s, R, cfg)
+        b = total_reward(out, s, cfg)
         assert b.process == 0.0 and b.total == 2.0
 
     def test_partition_inferred_from_sample(self):

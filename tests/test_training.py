@@ -102,7 +102,7 @@ class TestSftStage:
         # 4 rows for 8 targets: targets share rows, so the batched scatter
         # sums gradients where rows collide
         policy = make_toy_policy(corpus, n_contexts=4)
-        policy.theta = np.random.default_rng(3).normal(size=policy.theta.shape)
+        policy = policy.with_theta(np.random.default_rng(3).normal(size=policy.theta.shape))
         trained, stats = train_sft(policy, corpus, SftConfig(steps=1, learning_rate=1.0))
         per_target = [sft_loss(policy, b) for b in make_sft_batches(corpus)]
         assert abs(stats[0].loss - np.mean([loss for loss, _ in per_target])) < 1e-12
@@ -269,7 +269,7 @@ class TestConfigs:
 class TestCheckpoint:
     def test_round_trip(self, corpus, tmp_path):
         policy = make_toy_policy(corpus)
-        policy.theta = np.random.default_rng(0).normal(size=policy.theta.shape)
+        policy = policy.with_theta(np.random.default_rng(0).normal(size=policy.theta.shape))
         path = tmp_path / "ckpt.npz"
         save_checkpoint(policy, path, config_hash="abc")
         loaded = load_checkpoint(path)
