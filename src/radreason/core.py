@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -140,12 +140,16 @@ class Corpus:
         return len(self.samples)
 
 
-def sample_to_record(sample: VqaSample) -> dict:
-    rec = asdict(sample)
-    rec["task"] = sample.task.value
-    rec["images"] = list(sample.images)
-    rec["options"] = [{"label": o.label, "text": o.text} for o in sample.options]
-    return rec
+def sample_to_record(sample: VqaSample, **fields: str) -> dict:
+    """A sample as a corpus record, built from its fields (no deep copy);
+    `fields` override string fields, e.g. `reasoning`."""
+    return {
+        **vars(sample),
+        "task": sample.task.value,
+        "images": list(sample.images),
+        "options": [{"label": o.label, "text": o.text} for o in sample.options],
+        **fields,
+    }
 
 
 SAMPLE_FIELDS = ("id", "task", "images", "question", "answer")
@@ -224,12 +228,16 @@ def map_in_order(fn: Callable, items: Sequence, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
+# `json.dumps(obj, sort_keys=True)` without building an encoder per call
+dumps_sorted = json.JSONEncoder(sort_keys=True).encode
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     """Write records as JSON Lines, one sorted-key object per line: the
     serialization of every JSON Lines file radreason writes."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(dumps_sorted(rec) + "\n")
 
 
 def write_json(path: str | Path, obj) -> None:

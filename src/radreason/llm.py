@@ -13,13 +13,14 @@ import os
 import re
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .core import read_jsonl
+from .core import dumps_sorted, read_jsonl
 
 CREDENTIAL_ENV_VAR = "RADREASON_API_KEY"
 
@@ -44,15 +45,14 @@ class CompletionRequest:
 
     @cached_property
     def idempotency_key(self) -> str:
-        payload = json.dumps(
+        payload = dumps_sorted(
             {
                 "template_id": self.template_id,
                 "template_version": self.template_version,
                 "prompt": self.prompt,
                 "temperature": self.temperature,
                 "max_tokens": self.max_tokens,
-            },
-            sort_keys=True,
+            }
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -103,10 +103,11 @@ class ResponseCache:
     any number of threads and processes.
 
     Each entry is appended with one `write()` on an `O_APPEND` descriptor,
-    so on a local file system entries never interleave. The first whole
-    line for a key wins, and a line that is torn or does not parse is
-    skipped, so its key is a miss. Entries of the earlier layout, one
-    `<key>.txt` file per key, are read but never written."""
+    so on a local file system entries never interleave. The descriptor is
+    opened at the first `put` and held until the cache is dropped. The
+    first whole line for a key wins, and a line that is torn or does not
+    parse is skipped, so its key is a miss. Entries of the earlier layout,
+    one `<key>.txt` file per key, are read but never written."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
@@ -115,6 +116,7 @@ class ResponseCache:
         self._lock = threading.Lock()
         self._entries: Optional[dict[str, str]] = None
         self._torn_tail = False
+        self._append = None  # unbuffered, so each entry is one write()
 
     def _loaded(self) -> dict[str, str]:
         # read on first use, not when the client is built, so that a
@@ -160,11 +162,10 @@ class ResponseCache:
                 return
             # a torn last line keeps its own bytes; the next entry starts afresh
             data = (("\n" if self._torn_tail else "") + line).encode("utf-8")
-            fd = os.open(self._log, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-            try:
-                written = os.write(fd, data)
-            finally:
-                os.close(fd)
+            if self._append is None:
+                self._append = open(self._log, "ab", buffering=0)
+                weakref.finalize(self, self._append.close)
+            written = self._append.write(data)
             if written != len(data):
                 self._torn_tail = True
                 raise CompletionError(f"cache: short write to {self._log}")
@@ -175,45 +176,71 @@ class ResponseCache:
 # ---------------------------------------------------------------------------
 # backends
 
-class MockBackend:
-    """Fixture-keyed canned responses; never touches the network."""
+def _request_digest(
+    template_id, template_version, temperature, max_tokens, prompt: str
+) -> bytes:
+    """SHA-256 over a request's fields: the four short ones by `repr`, each
+    followed by a NUL (no repr holds one), then the prompt's UTF-8 bytes.
+    For the str, int and float fields of a request it is equal exactly when
+    the idempotency keys are (`0` and `0.0` stay apart), without JSON."""
+    head = f"{template_id!r}\0{template_version!r}\0{temperature!r}\0{max_tokens!r}\0"
+    return hashlib.sha256(
+        head.encode("utf-8") + prompt.encode("utf-8", "surrogatepass")
+    ).digest()
 
-    def __init__(self, responses: dict[str, str]):
+
+class MockBackend:
+    """Fixture-keyed canned responses; never touches the network. The
+    fixture is indexed by `_request_digest`, so a request is matched
+    without computing its idempotency key; a miss names that key."""
+
+    def __init__(self, responses: dict[bytes, str]):
         self._responses = dict(responses)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockBackend":
-        """Load a JSONL fixture: each record holds a response and the request
-        fields (`template_id`, `template_version`, `prompt`, and optionally
-        `temperature` and `max_tokens`) its key is computed from. A malformed
-        line raises CompletionError located as `path:line: reason`."""
-        responses: dict[str, str] = {}
+        """Load a JSONL fixture: each record holds a response and the fields
+        of the request it answers (`template_id`, `template_version`,
+        `prompt`, and optionally `temperature` and `max_tokens`). A later
+        record for the same request wins. A malformed line raises
+        CompletionError located as `path:line: reason`."""
+        responses: dict[bytes, str] = {}
         for lineno, rec, reason in read_jsonl(path, ("response",)):
             if reason:
                 raise CompletionError(f"{path}:{lineno}: {reason}")
             if not isinstance(rec["response"], str):
                 raise CompletionError(f"{path}:{lineno}: field 'response' is not a string")
             try:
-                key = CompletionRequest(
-                    template_id=rec["template_id"],
-                    template_version=rec["template_version"],
-                    prompt=rec["prompt"],
-                    temperature=rec.get("temperature", 0.0),
-                    max_tokens=rec.get("max_tokens", 1024),
-                ).idempotency_key
+                template_id, version, prompt = (
+                    rec["template_id"], rec["template_version"], rec["prompt"]
+                )
             except KeyError as e:
                 raise CompletionError(f"{path}:{lineno}: missing field {e}") from None
-            responses[key] = rec["response"]
+            if not isinstance(prompt, str):
+                raise CompletionError(f"{path}:{lineno}: field 'prompt' is not a string")
+            responses[_request_digest(
+                template_id,
+                version,
+                rec.get("temperature", 0.0),
+                rec.get("max_tokens", 1024),
+                prompt,
+            )] = rec["response"]
         return cls(responses)
 
     def complete(self, request: CompletionRequest) -> str:
-        key = request.idempotency_key
-        if key not in self._responses:
+        response = self._responses.get(_request_digest(
+            request.template_id,
+            request.template_version,
+            request.temperature,
+            request.max_tokens,
+            request.prompt,
+        ))
+        if response is None:
             raise CompletionError(
-                f"mock backend: no fixture response for key {key} "
+                f"mock backend: no fixture response for key {request.idempotency_key} "
                 f"(template {request.template_id} v{request.template_version})"
             )
-        return self._responses[key]
+        return response
 
 
 # attempts at one request, the wait before the second (doubled for each

@@ -9,7 +9,7 @@ completion (backend or cache) aborts the batch.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,6 @@ from .core import (
     Corpus,
     CorpusError,
     VqaSample,
-    count_labels,
     label_by_answer,
     map_in_order,
     read_jsonl,
@@ -233,17 +232,19 @@ def balance(corpus: Corpus, seed: int = 0) -> Corpus:
     """Seeded uniform down-sampling until the most frequent disease label
     (`label_by_answer`) does not exceed twice the least frequent; the
     minimum class is never touched."""
-    counts = count_labels(corpus.samples, label_by_answer)
-    if len(counts) < 2:
+    ids_by_label: dict[str, list[str]] = {}
+    for s in corpus.samples:
+        ids_by_label.setdefault(label_by_answer(s), []).append(s.id)
+    if len(ids_by_label) < 2:
         raise CorpusError(
             "balancing needs at least two disease labels; got "
-            + ", ".join(repr(k) for k in counts)
+            + ", ".join(repr(k) for k in ids_by_label)
         )
-    cap = 2 * min(counts.values())
+    cap = 2 * min(map(len, ids_by_label.values()))
     rng = np.random.default_rng(seed)
     keep_ids: set[str] = set()
-    for label in sorted(counts):
-        ids = [s.id for s in corpus.samples if label_by_answer(s) == label]
+    for label in sorted(ids_by_label):
+        ids = ids_by_label[label]
         if len(ids) > cap:
             picked = rng.choice(len(ids), size=cap, replace=False)
             ids = [ids[i] for i in sorted(picked)]
@@ -295,12 +296,12 @@ def compile_benchmark(
     for s in corpus.samples:
         chain = chain_for.get(s.id)
         if chain is not None:
-            out = replace(s, reasoning=chain.narrative)
+            rec = sample_to_record(s, reasoning=chain.narrative)
             part = "reasoning_augmented"
         else:
-            out = replace(s, report="", reasoning="")
+            rec = sample_to_record(s, report="", reasoning="")
             part = "answer_only"
-        buckets[(s.split, _PARTITION_SUFFIX[part])].append(sample_to_record(out))
+        buckets[(s.split, _PARTITION_SUFFIX[part])].append(rec)
         part_counts[part] += 1
         task_counts[s.task.value] = task_counts.get(s.task.value, 0) + 1
         source_counts[s.source or "unknown"] = (

@@ -19,6 +19,11 @@ def mock_config(tmp_path, data_dir):
     return str(path)
 
 
+def _read_records(path):
+    """The JSON objects of a JSON Lines file, read without holding it open."""
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
 def test_parser_has_all_subcommands():
     parser = build_parser()
     sub = next(
@@ -206,18 +211,18 @@ def test_compile_bench_reports_filtered_chains(tmp_path, data_dir, mock_config):
     corpus = str(data_dir / "fixture_corpus.jsonl")
     mined = tmp_path / "mined"
     main(["--config", mock_config, "mine", corpus, "--out", str(mined)])
-    records = [json.loads(line) for line in (mined / "chains.jsonl").open()]
+    records = _read_records(mined / "chains.jsonl")
     records[0]["r_f"] = 0.5
     chains = tmp_path / "chains.jsonl"
     chains.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     out = tmp_path / "compiled"
     assert main(["compile-bench", corpus, str(chains), "--out", str(out)]) == 2
-    rejections = [json.loads(line) for line in (out / "rejections.jsonl").open()]
+    rejections = _read_records(out / "rejections.jsonl")
     assert rejections == [
         {"sample_id": records[0]["sample_id"], "stage": "factuality_filter",
          "reason": "r_f=0.5000"}
     ]
-    kept = [json.loads(line)["sample_id"] for line in (out / "chains.jsonl").open()]
+    kept = [r["sample_id"] for r in _read_records(out / "chains.jsonl")]
     assert kept == [r["sample_id"] for r in records[1:]]
 
 
@@ -249,7 +254,7 @@ def test_compile_bench_refuses_unknown_sample_id(tmp_path, data_dir, mock_config
     corpus = str(data_dir / "fixture_corpus.jsonl")
     mined = tmp_path / "mined"
     main(["--config", mock_config, "mine", corpus, "--out", str(mined)])
-    records = [json.loads(line) for line in (mined / "chains.jsonl").open()]
+    records = _read_records(mined / "chains.jsonl")
     records[1]["sample_id"] = "ghost"
     chains = tmp_path / "chains.jsonl"
     chains.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
@@ -377,7 +382,7 @@ def test_score_records_empty_output_and_scores_the_rest(tmp_path, data_dir, mock
                           {"id": "f003", "output": "<answer>A</answer>"}])
     rc = main(["score", str(bench / "train_R.jsonl"), str(outputs), "--out", str(scores)])
     assert rc == 2
-    scored, error = [json.loads(line) for line in scores.open(encoding="utf-8")]
+    scored, error = _read_records(scores)
     assert scored["id"] == "f003" and scored["outcome"] == 1.0
     assert error == {"error_record": {"id": "f002", "line": 1,
                                       "error": "model output must be non-empty"}}

@@ -1,3 +1,5 @@
+import gc
+import json
 import os
 import subprocess
 import sys
@@ -60,6 +62,12 @@ class TestIdempotencyKey:
         assert (
             CompletionRequest(**base).idempotency_key
             != CompletionRequest(**{**base, **kwargs}).idempotency_key
+        )
+
+    def test_key_is_pinned(self):
+        # recorded caches are addressed by this key: it must never move
+        assert CompletionRequest("plan", "1", "p").idempotency_key == (
+            "7969c4719629d321f2b661660517d445cb5312301372fa44ada4b7e6f434195a"
         )
 
 
@@ -204,6 +212,48 @@ class TestCache:
         assert ResponseCache(tmp_path).get("k") in ("A" * 200_000, "B" * 200_000)
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_log_opened_once_for_many_puts(self, tmp_path, monkeypatch):
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(llm, "open", counting_open, raising=False)
+        cache = ResponseCache(tmp_path)
+        for i in range(50):
+            cache.put(f"k{i}", f"v{i}")
+        assert opened == [tmp_path / "responses.jsonl"]
+        assert ResponseCache(tmp_path).get("k49") == "v49"
+
+    def test_puts_after_a_torn_tail_start_whole_lines(self, tmp_path):
+        log = tmp_path / "responses.jsonl"
+        log.write_text('{"key": "a", "response": "whole"}\n{"key": "b", "resp',
+                       encoding="utf-8")
+        cache = ResponseCache(tmp_path)
+        cache.put("c", "one")
+        cache.put("d", "two")
+        lines = log.read_text(encoding="utf-8").splitlines()
+        assert lines[1] == '{"key": "b", "resp'
+        assert [json.loads(line) for line in lines[2:]] == [
+            {"key": "c", "response": "one"}, {"key": "d", "response": "two"},
+        ]
+
+    def test_log_closed_when_the_cache_is_dropped(self, tmp_path, monkeypatch):
+        handles = []
+
+        def recording_open(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(llm, "open", recording_open, raising=False)
+        cache = ResponseCache(tmp_path)
+        cache.put("k", "v")
+        assert len(handles) == 1 and not handles[0].closed
+        del cache
+        gc.collect()
+        assert handles[0].closed
+
     def test_cache_only_miss_is_deterministic_error(self, tmp_path):
         client = CompletionClient(CacheOnlyBackend(), cache=ResponseCache(tmp_path))
         req = CompletionRequest("plan", "1", "unseen")
@@ -221,10 +271,49 @@ class TestMockBackend:
         )
         assert mock_client.complete(req) == "There is a small left pleural effusion"
 
+    @staticmethod
+    def _fixture(tmp_path, *records):
+        path = tmp_path / "fixture.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        return path
+
     def test_missing_fixture_raises(self):
         backend = MockBackend({})
+        req = CompletionRequest("plan", "1", "p")
+        with pytest.raises(CompletionError) as exc:
+            backend.complete(req)
+        assert str(exc.value) == (
+            f"mock backend: no fixture response for key {req.idempotency_key} "
+            "(template plan v1)"
+        )
+
+    def test_int_zero_temperature_does_not_answer_float_zero(self, tmp_path):
+        backend = MockBackend.from_file(self._fixture(
+            tmp_path, {"template_id": "plan", "template_version": "1", "prompt": "p",
+                       "temperature": 0, "response": "r"},
+        ))
         with pytest.raises(CompletionError, match="no fixture response"):
-            backend.complete(CompletionRequest("plan", "1", "p"))
+            backend.complete(CompletionRequest("plan", "1", "p", temperature=0.0))
+        assert backend.complete(CompletionRequest("plan", "1", "p", temperature=0)) == "r"
+
+    def test_later_duplicate_record_wins(self, tmp_path):
+        record = {"template_id": "plan", "template_version": "1", "prompt": "p\u00e9"}
+        backend = MockBackend.from_file(self._fixture(
+            tmp_path, {**record, "response": "first"}, {**record, "response": "second"},
+        ))
+        assert backend.complete(CompletionRequest("plan", "1", "p\u00e9")) == "second"
+
+    @pytest.mark.parametrize("prompt", [None, 7, ["p"]])
+    def test_non_string_prompt_is_located(self, tmp_path, prompt):
+        path = self._fixture(
+            tmp_path,
+            {"template_id": "plan", "template_version": "1", "prompt": "p", "response": "r"},
+            {"template_id": "plan", "template_version": "1", "prompt": prompt,
+             "response": "r"},
+        )
+        with pytest.raises(CompletionError) as exc:
+            MockBackend.from_file(path)
+        assert str(exc.value) == f"{path}:2: field 'prompt' is not a string"
 
 
 class TestMakeClient:
