@@ -23,7 +23,7 @@ from .llm import CompletionError, make_client
 from .mining import load_chains
 from .observations import LexicalMatcher, LlmMatcher, SynonymTable
 from .policy import GrpoConfig
-from .training import PRESETS, SftConfig, toy_grpo_config
+from .training import PRESETS, SftConfig
 
 
 # the top-level keys a config file may hold; any other is refused
@@ -188,10 +188,9 @@ def main(argv: list[str] | None = None) -> int:
                     "update per batch the ratio is 1 and min(ratio, 1 - clip_eps) * A has "
                     "no advantage gradient; use 'standard'"
                 )
-            grpo_kwargs = {**vars(toy_grpo_config(seed=args.seed)), **sections["grpo"]}
             try:
                 sft_cfg = SftConfig(**sections["sft"])
-                grpo_cfg = GrpoConfig(**grpo_kwargs)
+                grpo_cfg = GrpoConfig(**{**sections["grpo"], "seed": args.seed})
             except TypeError as e:  # a key the config section does not have
                 raise ValueError(f"config: {e}") from None
             checkpoint = cmd_train_toy(

@@ -325,13 +325,3 @@ def label_by_answer(sample: VqaSample) -> str:
     close-ended tasks, the raw answer otherwise."""
     return sample.answer_text()
 
-
-LabelFn = Callable[[VqaSample], str]
-
-
-def count_labels(samples: Iterable[VqaSample], label_of: LabelFn) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for s in samples:
-        label = label_of(s)
-        counts[label] = counts.get(label, 0) + 1
-    return counts

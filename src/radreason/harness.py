@@ -329,7 +329,7 @@ def cmd_train_toy(
     checkpoint + per-step stats."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    policy = make_toy_policy(corpus, n_contexts=256)
+    policy = make_toy_policy(corpus)
     trained, stats = run_preset(preset, corpus, policy, sft_cfg, grpo_cfg)
     cfg_dict = {
         "preset": preset,

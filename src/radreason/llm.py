@@ -252,6 +252,9 @@ TIMEOUT_SECONDS = 60.0
 _RETRY_STATUS = frozenset({408, 429})
 # statuses whose Retry-After header asks for a wait (RFC 9110, section 10.2.3)
 _RETRY_AFTER_STATUS = frozenset({429, 503})
+# the longest Retry-After wait honoured, in seconds; a longer one fails the
+# request at once
+MAX_RETRY_AFTER_SECONDS = 60
 
 
 def _retry_after_seconds(value: Optional[str]) -> float:
@@ -267,7 +270,8 @@ class RemoteBackend:
     Retries transport errors, 5xx, 408 and 429, with no wait after the last
     attempt; any other error response fails at once. A 429 or 503 that
     carries a Retry-After in seconds waits the larger of that and the
-    backoff."""
+    backoff, or fails at once when it asks for more than
+    MAX_RETRY_AFTER_SECONDS."""
 
     def __init__(self, base_url: str, model: str = "gpt-4o"):
         if not base_url:
@@ -310,6 +314,11 @@ class RemoteBackend:
                 last_error = f"HTTP {resp.status_code}"
                 if resp.status_code in _RETRY_AFTER_STATUS:
                     retry_after = _retry_after_seconds(resp.headers.get("Retry-After"))
+                    if retry_after > MAX_RETRY_AFTER_SECONDS:
+                        raise CompletionError(
+                            f"remote backend: HTTP {resp.status_code} asks to retry after "
+                            f"{retry_after:g} s, more than {MAX_RETRY_AFTER_SECONDS} s"
+                        )
                 continue
             try:
                 resp.raise_for_status()

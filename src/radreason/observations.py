@@ -355,6 +355,11 @@ class LexicalMatcher:
         return tuple(matched), tuple(unmatched)
 
 
+# a list marker opening a line of an extraction response: "1.", "2)", "-" or
+# "*", followed by whitespace or the end of the line ("2.5 cm" stays whole)
+_LIST_MARKER_RE = re.compile(r"^\s*(?:\d+[.)]|[-*])(?=\s|$)")
+
+
 class LlmMatcher:
     """Matcher that delegates to the completion backend (verdicts cacheable
     through the client's cache). Verdicts may be asymmetric."""
@@ -372,11 +377,8 @@ class LlmMatcher:
             raise ValueError("cannot extract observations from empty text")
         request = render_template("extract", text=text)
         raw = self.client.complete(request)
-        phrases = [
-            ln.lstrip("-* ").strip()
-            for ln in raw.splitlines()
-            if ln.lstrip("-* ").strip()
-        ]
+        lines = (_LIST_MARKER_RE.sub("", ln, count=1).strip() for ln in raw.splitlines())
+        phrases = [ln for ln in lines if ln]
         if not raw.strip():
             return ObservationSet((), role=role)
         if phrases:

@@ -294,21 +294,10 @@ class ToyPolicy:
             raise ValueError("context_size must be >= 1")
 
     @classmethod
-    def uniform(
-        cls,
-        vocab: Sequence[str],
-        n_contexts: int = 64,
-        context_size: int = 2,
-        max_length: int = 16,
-        eos_token: str = "<eos>",
-    ) -> "ToyPolicy":
-        return cls(
-            vocab=tuple(vocab),
-            theta=np.zeros((n_contexts, len(vocab))),
-            context_size=context_size,
-            max_length=max_length,
-            eos_token=eos_token,
-        )
+    def uniform(cls, vocab: Sequence[str], n_contexts: int = 64, **layout) -> "ToyPolicy":
+        """The policy with all-zero logits; `layout` sets any of
+        `context_size`, `max_length` and `eos_token`."""
+        return cls(vocab=tuple(vocab), theta=np.zeros((n_contexts, len(vocab))), **layout)
 
     def with_theta(self, theta: np.ndarray) -> "ToyPolicy":
         """The same policy at parameters `theta` (copied)."""
@@ -459,11 +448,15 @@ def sft_loss(policy: ToyPolicy, batch: SftBatch) -> tuple[float, np.ndarray]:
 
 @dataclass
 class GrpoConfig:
+    """The GRPO stage of `train-toy`; a config file's `grpo` section
+    overrides fields. Learning rate and entropy weight are rescaled for the
+    tabular policy (the nominal 5e-7 and 1e-4 target a large neural one)."""
+
     group_size: int = 8
     clip_eps: float = 0.2
     kl_coef: float = 1e-4
-    entropy_coef: float = 1e-4
-    learning_rate: float = 5e-7  # nominal; presets rescale for the tabular regime
+    entropy_coef: float = 0.01
+    learning_rate: float = 3.0
     steps: int = 200
     seed: int = 0
     clip_mode: str = "standard"  # "standard" | "literal" (objective as typeset)

@@ -7,7 +7,7 @@ stage uses, mirroring the training-strategy comparison grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -90,16 +90,11 @@ def make_sft_batches(corpus: Corpus) -> list[SftBatch]:
 
 @dataclass
 class SftConfig:
+    """The SFT stage of `train-toy`; a config file's `sft` section overrides
+    fields."""
+
     learning_rate: float = 0.5  # tabular-regime rescale of the nominal 2e-6
     steps: int = 25
-
-
-def toy_grpo_config(seed: int = 0, steps: int = 200) -> "GrpoConfig":
-    """GrpoConfig rescaled for the tabular regime (the nominal defaults
-    target a large neural policy)."""
-    return GrpoConfig(
-        learning_rate=3.0, entropy_coef=0.01, seed=seed, steps=steps
-    )
 
 
 @dataclass
@@ -317,23 +312,19 @@ def run_preset(
     policy: ToyPolicy,
     sft_cfg: SftConfig,
     grpo_cfg: GrpoConfig,
-    reward_cfg: Optional[RewardConfig] = None,
 ) -> tuple[ToyPolicy, list[StepStats]]:
     if preset_name not in PRESETS:
         raise PresetError(
             f"unknown preset {preset_name!r}; expected one of {sorted(PRESETS)}"
         )
-    reward_cfg = reward_cfg or RewardConfig()
     all_stats: list[StepStats] = []
     for spec in PRESETS[preset_name]:
         data = _select_data(corpus, spec.data)
         if spec.kind == "sft":
             policy, stats = train_sft(policy, data, sft_cfg)
         else:
-            stage_reward_cfg = replace(
-                reward_cfg, use_process_reward=spec.use_process_reward
-            )
-            policy, stats = train_grpo(policy, data, stage_reward_cfg, grpo_cfg)
+            reward_cfg = RewardConfig(use_process_reward=spec.use_process_reward)
+            policy, stats = train_grpo(policy, data, reward_cfg, grpo_cfg)
         all_stats.extend(stats)
     return policy, all_stats
 
@@ -391,12 +382,15 @@ def make_toy_corpus(seed: int = 0) -> Corpus:
     return Corpus(tuple(samples))
 
 
-def make_toy_policy(corpus: Corpus, n_contexts: int = 64, max_length: int = 10) -> ToyPolicy:
+def make_toy_policy(corpus: Corpus, n_contexts: int = 256) -> ToyPolicy:
+    """The uniform policy `train-toy` starts from: 2-token contexts hashed
+    into `n_contexts` rows, outputs of at most 10 tokens (end token
+    included) over the corpus's vocabulary."""
     return ToyPolicy.uniform(
         build_vocab(corpus),
         n_contexts=n_contexts,
         context_size=2,
-        max_length=max_length,
+        max_length=10,
         eos_token=EOS_TOKEN,
     )
 
@@ -404,7 +398,7 @@ def make_toy_policy(corpus: Corpus, n_contexts: int = 64, max_length: int = 10) 
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def save_checkpoint(policy: ToyPolicy, path: str | Path, config_hash: str = "") -> None:
+def save_checkpoint(policy: ToyPolicy, path: str | Path, config_hash: str) -> None:
     path = Path(path)
     np.savez(
         path,

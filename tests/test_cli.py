@@ -128,6 +128,22 @@ def test_train_toy_unknown_preset_is_fatal(tmp_path, data_dir, mock_config):
     assert rc == 1
 
 
+def test_train_toy_recipe_hash_is_pinned(tmp_path):
+    # the hash of the preset, seed and every sft and grpo value that a run
+    # with no config uses: moving any default of the recipe moves it
+    from radreason.core import save_corpus
+    from radreason.training import make_toy_corpus
+
+    corpus = tmp_path / "toy.jsonl"
+    save_corpus(make_toy_corpus(), corpus)
+    rc = main(
+        ["--seed", "3", "train-toy", str(corpus), "--preset", "sft_ro", "--out", str(tmp_path / "run")]
+    )
+    assert rc == 0
+    manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text(encoding="utf-8"))
+    assert (manifest["config_hash"], manifest["seed"]) == ("057c5c1a186f1574", 3)
+
+
 @pytest.mark.parametrize("section", ["sft", "grpo"])
 def test_train_toy_unknown_config_key_is_fatal(tmp_path, data_dir, section, capsys):
     config = tmp_path / "config.json"

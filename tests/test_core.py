@@ -13,7 +13,6 @@ from radreason.core import (
     PromptMode,
     TaskType,
     VqaSample,
-    count_labels,
     label_by_answer,
     load_corpus,
     partition,
@@ -188,11 +187,6 @@ def test_label_by_answer_uses_option_text():
         task=TaskType.ANOMALY_DETECTION, options=(), answer="edema"
     )
     assert label_by_answer(open_ended) == "edema"
-
-
-def test_count_labels():
-    samples = [make_sample(id="a"), make_sample(id="b"), make_sample(id="c", answer="B")]
-    assert count_labels(samples, label_by_answer) == {"yes": 2, "no": 1}
 
 
 @given(

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -303,7 +304,7 @@ class TestCmdMine:
         assert all(c["r_f"] >= 1.0 for c in chains)
 
     def test_balanced_labels(self, mined_bundle):
-        from radreason.core import count_labels, label_by_answer
+        from radreason.core import label_by_answer
 
         bundle, _ = mined_bundle
         samples = []
@@ -312,7 +313,7 @@ class TestCmdMine:
                 samples.extend(
                     load_corpus(bundle.record_file(split, part)).samples
                 )
-        counts = count_labels(samples, label_by_answer)
+        counts = Counter(map(label_by_answer, samples))
         assert max(counts.values()) <= 2 * min(counts.values())
 
 

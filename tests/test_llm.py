@@ -436,6 +436,21 @@ class TestRemoteBackend:
         result, posts, sleeps = self._run(monkeypatch, replies)
         assert (result, sleeps) == ("done", [0.5])
 
+    def test_retry_after_at_the_cap_honoured(self, monkeypatch):
+        replies = [FakeResponse(429, headers={"Retry-After": "60"}), OK]
+        result, posts, sleeps = self._run(monkeypatch, replies)
+        assert (result, len(posts), sleeps) == ("done", 2, [60.0])
+
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_retry_after_past_the_cap_fails_at_once(self, monkeypatch, status):
+        replies = [FakeResponse(status, headers={"Retry-After": "3600"}), OK]
+        result, posts, sleeps = self._run(monkeypatch, replies)
+        assert isinstance(result, CompletionError)
+        assert str(result) == (
+            f"remote backend: HTTP {status} asks to retry after 3600 s, more than 60 s"
+        )
+        assert (len(posts), sleeps) == (1, [])
+
     def test_no_wait_after_last_attempt_despite_retry_after(self, monkeypatch):
         replies = [FakeResponse(429, headers={"Retry-After": "9"})] * 2
         result, posts, sleeps = self._run(monkeypatch, replies, max_retries=2)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from radreason.core import Option, TaskType, VqaSample
 from radreason.llm import CompletionClient
-from radreason.observations import LlmMatcher, ObservationSet, Role
+from radreason.observations import LlmMatcher, ObservationSet, Polarity, Role
 from radreason.scoring import (
     NotScorableError,
     RatioResult,
@@ -187,3 +187,36 @@ class TestLlmMatcher:
         assert set(matched).isdisjoint(unmatched)
         assert [x for x in a.items if x in matched] == list(matched)
 
+
+
+class FixedResponse:
+    """Backend that answers every request with one response."""
+
+    name = "fixed"
+
+    def __init__(self, response: str):
+        self.response = response
+
+    def complete(self, request) -> str:
+        return self.response
+
+
+class TestLlmExtraction:
+    def extract(self, response: str) -> ObservationSet:
+        matcher = LlmMatcher(CompletionClient(FixedResponse(response)))
+        return matcher.extract("Small left pleural effusion.", Role.MODEL)
+
+    def test_numbered_list_markers_stripped(self):
+        found = self.extract("1. Small left pleural effusion\n2) No pneumothorax\n")
+        assert [(o.surface, o.normalized, o.polarity) for o in found.items] == [
+            ("Small left pleural effusion", "small left pleural effusion", Polarity.PRESENT),
+            ("No pneumothorax", "no pneumothorax", Polarity.ABSENT_OR_NORMAL),
+        ]
+
+    def test_bullets_stripped(self):
+        found = self.extract("- Edema\n  * No effusion\n-\n")
+        assert [o.surface for o in found.items] == ["Edema", "No effusion"]
+
+    def test_marker_needs_whitespace_after_it(self):
+        found = self.extract("2.5 cm nodule\n3)mass\n")
+        assert [o.surface for o in found.items] == ["2.5 cm nodule", "3)mass"]

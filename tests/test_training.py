@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -22,7 +20,6 @@ from radreason.training import (
     run_preset,
     save_checkpoint,
     target_tokens,
-    toy_grpo_config,
     toy_tokens,
     train_grpo,
     train_sft,
@@ -37,12 +34,6 @@ def corpus():
 @pytest.fixture(scope="module")
 def samples(corpus):
     return {s.id: s for s in corpus.samples}
-
-
-def fast_grpo_config(seed=0, steps=3):
-    return GrpoConfig(
-        learning_rate=3.0, entropy_coef=0.01, seed=seed, steps=steps
-    )
 
 
 class TestTokenization:
@@ -129,7 +120,7 @@ class TestGrpoStage:
         for _ in range(2):
             policy = make_toy_policy(corpus)
             trained, stats = train_grpo(
-                policy, corpus, RewardConfig(), fast_grpo_config()
+                policy, corpus, RewardConfig(), GrpoConfig(steps=3)
             )
             results.append((trained.theta, [vars(s) for s in stats]))
         assert np.array_equal(results[0][0], results[1][0])
@@ -177,7 +168,7 @@ class TestGrpoStage:
 
     def test_stats_report_all_components(self, corpus):
         policy = make_toy_policy(corpus)
-        _, stats = train_grpo(policy, corpus, RewardConfig(), fast_grpo_config())
+        _, stats = train_grpo(policy, corpus, RewardConfig(), GrpoConfig(steps=3))
         for s in stats:
             assert s.stage == "grpo"
             assert s.mean_reward is not None
@@ -195,7 +186,7 @@ class TestGrpoStage:
             return kl_penalty(logp_old, logp_new, estimator)
 
         monkeypatch.setattr(training, "kl_penalty", spy)
-        cfg = replace(fast_grpo_config(), kl_estimator="k3")
+        cfg = GrpoConfig(steps=3, kl_estimator="k3")
         _, stats = train_grpo(make_toy_policy(corpus), corpus, RewardConfig(), cfg)
         assert len(pairs) == len(stats) == cfg.steps
         for s, (logp_old, logp_new) in zip(stats, pairs):
@@ -251,19 +242,34 @@ class TestPresets:
             corpus,
             policy,
             SftConfig(steps=2),
-            fast_grpo_config(steps=2),
+            GrpoConfig(steps=2),
         )
         assert [s.stage for s in stats] == ["sft", "sft", "grpo", "grpo"]
         assert not np.array_equal(trained.theta, policy.theta)
 
 
 class TestConfigs:
+    """The train-toy recipe: the config defaults and the starting policy."""
+
     def test_toy_configs_pin_tabular_hyperparams(self):
-        sft = SftConfig()
-        grpo = toy_grpo_config(seed=3)
-        assert (sft.learning_rate, sft.steps) == (0.5, 25)
-        assert (grpo.learning_rate, grpo.entropy_coef, grpo.seed) == (3.0, 0.01, 3)
-        assert grpo.group_size == 8 and grpo.clip_eps == 0.2
+        assert vars(SftConfig()) == {"learning_rate": 0.5, "steps": 25}
+        assert vars(GrpoConfig()) == {
+            "group_size": 8,
+            "clip_eps": 0.2,
+            "kl_coef": 1e-4,
+            "entropy_coef": 0.01,
+            "learning_rate": 3.0,
+            "steps": 200,
+            "seed": 0,
+            "clip_mode": "standard",
+            "kl_estimator": "log_ratio",
+        }
+
+    def test_toy_policy_layout(self, corpus):
+        policy = make_toy_policy(corpus)
+        assert policy.theta.shape == (256, len(build_vocab(corpus)))
+        assert not policy.theta.any()
+        assert (policy.context_size, policy.max_length, policy.eos_token) == (2, 10, "<eos>")
 
 
 class TestCheckpoint:
