@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -38,8 +39,8 @@ EXIT_OK = 0
 EXIT_FATAL = 1
 EXIT_SAMPLE_ERRORS = 2
 
-# most resample indices bootstrap_ci draws at once (2 MB of int64)
-_INDEX_CHUNK = 2**18
+# most resample indices bootstrap_ci draws at once (0.5 MB of int64)
+_INDEX_CHUNK = 2**16
 
 
 def bootstrap_ci(
@@ -191,12 +192,13 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _metric_cells(records: list[dict], resamples: int, seed: int) -> dict:
-    columns = np.array([[float(r[m]) for r in records] for m in _METRICS])
-    intervals = bootstrap_ci(columns.T, resamples=resamples, seed=seed)
+def _metric_cells(table: np.ndarray, resamples: int, seed: int) -> dict:
+    """Mean and interval of each metric of an (n, 5) table, columns in
+    `_METRICS` order."""
+    intervals = bootstrap_ci(table, resamples=resamples, seed=seed)
     return {
         m: {"mean": float(np.mean(col)), "ci_low": low, "ci_high": high}
-        for m, col, (low, high) in zip(_METRICS, columns, intervals)
+        for m, col, (low, high) in zip(_METRICS, table.T, intervals)
     }
 
 
@@ -219,7 +221,8 @@ def cmd_eval(
 ) -> EvalReport:
     """Per-task table with CI annotations plus two overall rows: the
     sample-weighted mean and the unweighted mean over tasks. Skips
-    `error_record` lines; any other bad line raises ValueError `path:line: reason`."""
+    `error_record` lines; any other bad line raises ValueError `path:line: reason`.
+    A record is kept as (id, task, *metrics), not as its parsed line."""
     records = []
     for lineno, rec, reason in read_jsonl(records_path, ("id", "task", *_METRICS)):
         if rec is not None and "error_record" in rec:
@@ -227,20 +230,20 @@ def cmd_eval(
         reason = reason or _eval_fault(rec)
         if reason:
             raise ValueError(f"{records_path}:{lineno}: {reason}")
-        records.append(rec)
+        records.append((rec["id"], rec["task"], *(float(rec[m]) for m in _METRICS)))
     if not records:
         raise ValueError("no score records to evaluate")
-    tasks = sorted({r["task"] for r in records})
+    # stable, so records of one id keep file order here and in each task's table
+    records.sort(key=itemgetter(0))
+    tasks = sorted({r[1] for r in records})
     rows = {}
     counts = {}
     for task in tasks:
-        subset = sorted(
-            (r for r in records if r["task"] == task), key=lambda r: r["id"]
-        )
-        rows[task] = _metric_cells(subset, resamples, seed)
-        counts[task] = len(subset)
+        table = np.array([r[2:] for r in records if r[1] == task])
+        rows[task] = _metric_cells(table, resamples, seed)
+        counts[task] = len(table)
     rows["overall_samples"] = _metric_cells(
-        sorted(records, key=lambda r: r["id"]), resamples, seed
+        np.array([r[2:] for r in records]), resamples, seed
     )
     counts["overall_samples"] = len(records)
     # unweighted mean over task means; CIs do not aggregate across tasks

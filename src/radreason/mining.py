@@ -96,7 +96,8 @@ def load_chains(path: str | Path) -> list[MinedChain]:
     return chains
 
 
-_LIST_ITEM_RE = re.compile(r"^\s*(?:\d+[.)]|[-*])\s*(.+)$")
+# a number then "." or ")" is a marker unless a digit follows: "2.5 cm" is not
+_LIST_ITEM_RE = re.compile(r"^\s*(?:\d+[.)](?!\d)|[-*])\s*(.+)$")
 _INFERRED_FORMS = frozenset({"no disease", "normal"})
 
 

@@ -62,7 +62,8 @@ def _entropy_words(entropies: Sequence[Sequence[int]]) -> dict[int, tuple]:
     starts = word_ends[item_ends - lens]
     row_words = word_ends[item_ends] - starts
     by_count = {}
-    for k in np.unique(row_words).tolist():
+    # sorted(set(...)), not np.unique: np.unique's first call imports numpy.ma
+    for k in sorted(set(row_words.tolist())):
         rows = np.flatnonzero(row_words == k)
         by_count[k] = (rows, words[starts[rows, None] + np.arange(k)])
     return by_count

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -283,6 +284,87 @@ class TestCmdEval:
         path.write_text("")
         with pytest.raises(ValueError):
             cmd_eval(path)
+
+    TASKS = ("anomaly_detection", "binary_diagnosis", "multi_diagnosis",
+             "single_diagnosis", "temporal_comparison")
+
+    def _score_line(self, rng, rid, task):
+        """A record shaped like `score`'s, outcome a JSON int half the time."""
+        r_f, r_c, r_e = (float(v) for v in rng.uniform(size=3))
+        outcome = int(rng.integers(2))
+        return {
+            "counts": {name: int(rng.integers(12)) for name in (
+                "leniency_credits", "matched_c", "matched_e", "matched_f",
+                "obs_gt", "obs_model")},
+            "degenerate": False,
+            "format": outcome,
+            "id": rid,
+            "outcome": outcome if rng.uniform() < 0.5 else float(outcome),
+            "r_c": r_c,
+            "r_e": r_e,
+            "r_f": r_f,
+            "radrscore": (r_f + r_c + r_e) / 3,
+            "task": task,
+        }
+
+    def _mixed_lines(self, n_ids, per_id, seed):
+        """Records of n_ids ids, per_id each with different values, in
+        shuffled order so ids repeat and tasks interleave, with an
+        `error_record` line after every 10th record."""
+        rng = np.random.default_rng(seed)
+        lines = [
+            self._score_line(rng, f"s{i:05d}", self.TASKS[i % len(self.TASKS)])
+            for i in range(n_ids)
+            for _ in range(per_id)
+        ]
+        lines = [lines[i] for i in rng.permutation(len(lines))]
+        for at in range(len(lines) - len(lines) % 10, 0, -10):
+            lines.insert(at, {"error_record": {"id": "ghost", "line": at, "error": "x"}})
+        return lines
+
+    @pytest.mark.parametrize("chunk", [7, 2**18])
+    def test_report_equals_dict_records_sorted_per_task(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(harness, "_INDEX_CHUNK", chunk)
+        lines = self._mixed_lines(n_ids=23, per_id=3, seed=4)
+        path = tmp_path / "records.jsonl"
+        self._write_records(path, lines)
+        records = [r for r in lines if "error_record" not in r]
+        tasks = sorted({r["task"] for r in records})
+        groups = {t: [r for r in records if r["task"] == t] for t in tasks}
+        groups["overall_samples"] = records
+        expected = {}
+        for group, subset in groups.items():
+            subset = sorted(subset, key=lambda r: r["id"])
+            columns = np.array([[float(r[m]) for r in subset] for m in harness._METRICS])
+            intervals = bootstrap_ci(columns.T, resamples=60, seed=9)
+            expected[group] = {
+                m: {"mean": float(np.mean(col)), "ci_low": low, "ci_high": high}
+                for m, col, (low, high) in zip(harness._METRICS, columns, intervals)
+            }
+        report = cmd_eval(path, resamples=60, seed=9)
+        assert {g: report.rows[g] for g in expected} == expected
+        assert report.counts == {
+            **{t: len(groups[t]) for t in tasks},
+            "overall_samples": len(records),
+            "overall_tasks": len(tasks),
+        }
+
+    def test_peak_memory_bounded(self, tmp_path):
+        # a small untraced run first, so numpy's lazy imports fall outside the trace
+        small = tmp_path / "small.jsonl"
+        self._write_records(small, self._mixed_lines(n_ids=10, per_id=2, seed=1))
+        cmd_eval(small, resamples=10, seed=0)
+        path = tmp_path / "records.jsonl"
+        self._write_records(path, self._mixed_lines(n_ids=1000, per_id=4, seed=2))
+        tracemalloc.start()
+        try:
+            report = cmd_eval(path, resamples=200, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.counts["overall_samples"] == 4000
+        # about 2.6 MiB: 4,000 rows of (id, task, five floats) and 0.5 MB index chunks
+        assert peak < 5 * 2**20, f"cmd_eval peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestCmdMine:

@@ -62,6 +62,12 @@ class TestParseList:
     def test_empty(self):
         assert _parse_list("no list here") == []
 
+    def test_decimal_is_not_a_marker(self):
+        assert _parse_list("2.5 cm nodule") == []
+        assert _parse_list("1. 2.5 cm nodule") == ["2.5 cm nodule"]
+        assert _parse_list("3) 4.2 mm") == ["4.2 mm"]
+        assert _parse_list("1.Assess the lungs") == ["Assess the lungs"]
+
 
 class TestMineSample:
     def test_full_chain(self, fixture_samples, mock_client, matcher):

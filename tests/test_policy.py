@@ -21,6 +21,7 @@ from radreason.policy import (
     seeded_uniforms,
     sft_loss,
     _entropy_with_grad,
+    _entropy_words,
 )
 
 VOCAB = ("a", "b", "c", "<eos>")
@@ -199,6 +200,16 @@ class TestSeededUniforms:
             np.random.default_rng(entropy)
         with pytest.raises(ValueError, match="non-negative"):
             seeded_uniforms([[1], entropy], 4)
+
+    def test_entropy_words_grouped_by_count_ascending(self):
+        # word counts 3, 2, 1, 2: an item's words are its base-2**32 digits
+        by_count = _entropy_words([[1, 2, 3], [2**40], [5], [0, 9]])
+        assert list(by_count) == [1, 2, 3]
+        rows, words = by_count[2]
+        assert rows.tolist() == [1, 3]
+        assert words.tolist() == [[0, 256], [0, 9]]
+        assert by_count[1][0].tolist() == [2] and by_count[1][1].tolist() == [[5]]
+        assert by_count[3][0].tolist() == [0] and by_count[3][1].tolist() == [[1, 2, 3]]
 
     def test_group_rows_append_the_sample_index(self):
         got = group_uniforms([7, (2**40, 3)], 3, 6)
