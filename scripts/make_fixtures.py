@@ -16,6 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from radreason.core import Corpus, Option, TaskType, VqaSample, save_corpus, write_jsonl
 from radreason.llm import render_template
+from radreason.mining import EvidenceStep, plan_request, refine_request
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "tests" / "data"
 
@@ -255,18 +256,6 @@ def build_fixture_records(samples: list[VqaSample]) -> list[dict]:
         )
 
     by_id = {s.id: s for s in samples}
-
-    def plan_request(sample: VqaSample):
-        options = (
-            " ".join(f"{o.label}) {o.text}" for o in sample.options) or "(open-ended)"
-        )
-        return render_template(
-            "plan",
-            question=sample.question,
-            options=options,
-            report=sample.report,
-        )
-
     for sid, canned in sorted(CANNED.items()):
         sample = by_id[sid]
         plan_text = "\n".join(
@@ -278,21 +267,12 @@ def build_fixture_records(samples: list[VqaSample]) -> list[dict]:
                 render_template("evidence", goal=goal, report=sample.report),
                 evidence,
             )
-        steps_text = "\n".join(
-            f"{i + 1}. {goal}: {evidence}"
-            for i, (goal, evidence) in enumerate(
-                zip(canned["goals"], canned["evidence"])
-            )
-        )
-        add(
-            render_template(
-                "refine",
-                question=sample.question,
-                answer=sample.answer_text(),
-                steps=steps_text,
-            ),
-            canned["narrative"],
-        )
+        # the refine request reads only each step's goal, order and evidence
+        steps = [
+            EvidenceStep(goal=goal, order=i, evidence=evidence, inferred=False)
+            for i, (goal, evidence) in enumerate(zip(canned["goals"], canned["evidence"]))
+        ]
+        add(refine_request(sample, steps), canned["narrative"])
     for sid, response in sorted(UNPARSEABLE_PLANS.items()):
         add(plan_request(by_id[sid]), response)
     return records

@@ -204,13 +204,17 @@ def _metric_cells(table: np.ndarray, resamples: int, seed: int) -> dict:
 
 def _eval_fault(rec: dict) -> str | None:
     """Why `eval` cannot use a score record, or None: `id` and `task` must be
-    strings and every metric a number (JSON true is not one)."""
+    strings and every metric a number (JSON true is not one) in [0, 1]. The
+    range is tested on the parsed value, so a huge integer, NaN or Infinity
+    is refused before any `float()`."""
     for field in ("id", "task"):
         if not isinstance(rec[field], str):
             return f"field {field!r} is not a string"
     for m in _METRICS:
         if type(rec[m]) not in (int, float):
             return f"field {m!r} is not a number"
+        if not 0 <= rec[m] <= 1:
+            return f"field {m!r} is outside [0, 1]"
     return None
 
 

@@ -1,7 +1,8 @@
 """Gateway to external completion services: caching, retries, deterministic mock.
 
-All prompts flow through versioned templates; the idempotency key is a pure
-function of (template version, prompt, decoding params), so any run recorded
+All prompts flow through versioned templates and go out with the fixed
+decoding constants TEMPERATURE and MAX_TOKENS; the idempotency key is a pure
+function of (template id, template version, prompt), so any run recorded
 against the remote backend replays bit-identically under cache-only.
 """
 
@@ -15,7 +16,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -40,8 +41,6 @@ class CompletionRequest:
     template_id: str
     template_version: str
     prompt: str
-    temperature: float = 0.0
-    max_tokens: int = 1024
 
     @cached_property
     def idempotency_key(self) -> str:
@@ -50,8 +49,8 @@ class CompletionRequest:
                 "template_id": self.template_id,
                 "template_version": self.template_version,
                 "prompt": self.prompt,
-                "temperature": self.temperature,
-                "max_tokens": self.max_tokens,
+                "temperature": TEMPERATURE,
+                "max_tokens": MAX_TOKENS,
             }
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -60,41 +59,31 @@ class CompletionRequest:
 # ---------------------------------------------------------------------------
 # templates
 
-_TEMPLATE_CACHE: dict[str, tuple[str, str]] = {}
-
-
+@lru_cache(maxsize=None)
 def load_template(name: str) -> tuple[str, str]:
     """Return (version, body) of a bundled prompt template."""
-    if name not in _TEMPLATE_CACHE:
-        ref = resources.files("radreason").joinpath(f"data/templates/{name}.txt")
-        text = ref.read_text(encoding="utf-8")
-        version = "0"
-        body_lines = []
-        for line in text.splitlines():
-            if line.startswith("#"):
-                m = re.search(r"version:\s*(\S+)", line)
-                if m:
-                    version = m.group(1)
-                continue
-            body_lines.append(line)
-        _TEMPLATE_CACHE[name] = (version, "\n".join(body_lines).strip() + "\n")
-    return _TEMPLATE_CACHE[name]
+    ref = resources.files("radreason").joinpath(f"data/templates/{name}.txt")
+    version = "0"
+    body_lines = []
+    for line in ref.read_text(encoding="utf-8").splitlines():
+        if line.startswith("#"):
+            m = re.search(r"version:\s*(\S+)", line)
+            if m:
+                version = m.group(1)
+            continue
+        body_lines.append(line)
+    return version, "\n".join(body_lines).strip() + "\n"
 
 
 def render_template(name: str, **fields: str) -> CompletionRequest:
     version, body = load_template(name)
-    return CompletionRequest(
-        template_id=name,
-        template_version=version,
-        prompt=body.format(**fields),
-    )
+    return CompletionRequest(name, version, body.format(**fields))
 
 
 # ---------------------------------------------------------------------------
 # cache: one append-only log per directory
 
 _LOG_NAME = "responses.jsonl"
-_LEGACY_NAME = re.compile(r"[0-9a-f]{64}\.txt")
 
 
 class ResponseCache:
@@ -106,8 +95,8 @@ class ResponseCache:
     so on a local file system entries never interleave. The descriptor is
     opened at the first `put` and held until the cache is dropped. The
     first whole line for a key wins, and a line that is torn or does not
-    parse is skipped, so its key is a miss. Entries of the earlier layout,
-    one `<key>.txt` file per key, are read but never written."""
+    parse is skipped, so its key is a miss. No other file in the directory
+    is read."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
@@ -135,20 +124,13 @@ class ResponseCache:
                     self._torn_tail = not line.endswith(b"\n")
                     try:
                         rec = json.loads(line)
-                    except ValueError:  # torn, or not UTF-8 JSON
+                        key, response = rec["key"], rec["response"]
+                    except (ValueError, TypeError, KeyError):  # torn, or not an entry
                         continue
-                    if (
-                        isinstance(rec, dict)
-                        and isinstance(rec.get("key"), str)
-                        and isinstance(rec.get("response"), str)
-                    ):
-                        entries.setdefault(rec["key"], rec["response"])
+                    if isinstance(key, str) and isinstance(response, str):
+                        entries.setdefault(key, response)
         except FileNotFoundError:
             pass
-        for path in self.directory.iterdir():
-            key = path.name[:-4]
-            if _LEGACY_NAME.fullmatch(path.name) and key not in entries:
-                entries[key] = path.read_text(encoding="utf-8")
         return entries
 
     def get(self, key: str) -> Optional[str]:
@@ -176,17 +158,31 @@ class ResponseCache:
 # ---------------------------------------------------------------------------
 # backends
 
-def _request_digest(
-    template_id, template_version, temperature, max_tokens, prompt: str
-) -> bytes:
-    """SHA-256 over a request's fields: the four short ones by `repr`, each
-    followed by a NUL (no repr holds one), then the prompt's UTF-8 bytes.
-    For the str, int and float fields of a request it is equal exactly when
-    the idempotency keys are (`0` and `0.0` stay apart), without JSON."""
-    head = f"{template_id!r}\0{template_version!r}\0{temperature!r}\0{max_tokens!r}\0"
+def _request_digest(template_id: str, template_version: str, prompt: str) -> bytes:
+    """SHA-256 over a request's fields: the template id and version by
+    `repr`, each followed by a NUL (no repr holds one), then the prompt's
+    UTF-8 bytes. It is equal exactly when the idempotency keys are, without
+    JSON."""
+    head = f"{template_id!r}\0{template_version!r}\0"
     return hashlib.sha256(
         head.encode("utf-8") + prompt.encode("utf-8", "surrogatepass")
     ).digest()
+
+
+_FIXTURE_FIELDS = ("template_id", "template_version", "prompt", "response")
+
+
+def _fixture_fault(rec: dict) -> Optional[str]:
+    """Why a mock fixture record cannot be used, or None. A record that sets
+    a decoding parameter restates a constant or answers no request made."""
+    for field in ("temperature", "max_tokens"):
+        if field in rec:
+            return (f"field {field!r} is refused: every request is made at "
+                    f"temperature {TEMPERATURE} and max_tokens {MAX_TOKENS}")
+    for field in _FIXTURE_FIELDS:
+        if not isinstance(rec[field], str):
+            return f"field {field!r} is not a string"
+    return None
 
 
 class MockBackend:
@@ -199,41 +195,23 @@ class MockBackend:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockBackend":
-        """Load a JSONL fixture: each record holds a response and the fields
-        of the request it answers (`template_id`, `template_version`,
-        `prompt`, and optionally `temperature` and `max_tokens`). A later
-        record for the same request wins. A malformed line raises
-        CompletionError located as `path:line: reason`."""
+        """Load a JSONL fixture: each record holds the string fields of the
+        request it answers (`template_id`, `template_version`, `prompt`) and
+        its `response`; a later record for the same request wins. A malformed
+        line raises CompletionError located as `path:line: reason`."""
         responses: dict[bytes, str] = {}
-        for lineno, rec, reason in read_jsonl(path, ("response",)):
+        for lineno, rec, reason in read_jsonl(path, _FIXTURE_FIELDS):
+            reason = reason or _fixture_fault(rec)
             if reason:
                 raise CompletionError(f"{path}:{lineno}: {reason}")
-            if not isinstance(rec["response"], str):
-                raise CompletionError(f"{path}:{lineno}: field 'response' is not a string")
-            try:
-                template_id, version, prompt = (
-                    rec["template_id"], rec["template_version"], rec["prompt"]
-                )
-            except KeyError as e:
-                raise CompletionError(f"{path}:{lineno}: missing field {e}") from None
-            if not isinstance(prompt, str):
-                raise CompletionError(f"{path}:{lineno}: field 'prompt' is not a string")
             responses[_request_digest(
-                template_id,
-                version,
-                rec.get("temperature", 0.0),
-                rec.get("max_tokens", 1024),
-                prompt,
+                rec["template_id"], rec["template_version"], rec["prompt"]
             )] = rec["response"]
         return cls(responses)
 
     def complete(self, request: CompletionRequest) -> str:
         response = self._responses.get(_request_digest(
-            request.template_id,
-            request.template_version,
-            request.temperature,
-            request.max_tokens,
-            request.prompt,
+            request.template_id, request.template_version, request.prompt
         ))
         if response is None:
             raise CompletionError(
@@ -243,6 +221,9 @@ class MockBackend:
         return response
 
 
+# the decoding parameters of every request, which its idempotency key covers
+TEMPERATURE = 0.0
+MAX_TOKENS = 1024
 # attempts at one request, the wait before the second (doubled for each
 # later one) and the timeout of one attempt, in seconds
 MAX_RETRIES = 5
@@ -291,8 +272,8 @@ class RemoteBackend:
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": request.prompt}],
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
+            "temperature": TEMPERATURE,
+            "max_tokens": MAX_TOKENS,
         }
         last_error: object = None
         retry_after = 0.0
@@ -345,15 +326,14 @@ class CompletionClient:
         self.cache = cache
 
     def complete(self, request: CompletionRequest) -> str:
+        if self.cache is None:
+            return self.backend.complete(request)
         key = request.idempotency_key
-        if self.cache is not None:
-            cached = self.cache.get(key)
-            if cached is not None:
-                return cached
-        response = self.backend.complete(request)
-        if self.cache is not None:
-            self.cache.put(key, response)
-        return response
+        cached = self.cache.get(key)
+        if cached is None:
+            cached = self.backend.complete(request)
+            self.cache.put(key, cached)
+        return cached
 
 
 def make_client(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .core import (
     write_json,
     write_jsonl,
 )
-from .llm import CompletionClient, render_template
+from .llm import CompletionClient, CompletionRequest, render_template
 from .observations import ExtractionError, MatchError, Role
 from .scoring import factuality
 
@@ -110,16 +111,29 @@ def _parse_list(raw: str) -> list[str]:
     return items
 
 
+def plan_request(sample: VqaSample) -> CompletionRequest:
+    """The request of step 1 for a sample: its question, options and report."""
+    options = " ".join(f"{o.label}) {o.text}" for o in sample.options) or "(open-ended)"
+    return render_template(
+        "plan", question=sample.question, options=options, report=sample.report
+    )
+
+
+def refine_request(sample: VqaSample, steps: Iterable[EvidenceStep]) -> CompletionRequest:
+    """The request of step 3 for a sample: its question, answer and the
+    numbered `goal: evidence` lines of its steps."""
+    steps_text = "\n".join(f"{s.order + 1}. {s.goal}: {s.evidence}" for s in steps)
+    return render_template(
+        "refine", question=sample.question, answer=sample.answer_text(), steps=steps_text
+    )
+
+
 def build_plans(sample: VqaSample, client: CompletionClient) -> list[str]:
     """Step 1: the goals of a structured reasoning plan for a (question,
     options, report), in plan order."""
     if not sample.report:
         raise MiningError(sample.id, "plan", "sample has no report")
-    options = " ".join(f"{o.label}) {o.text}" for o in sample.options) or "(open-ended)"
-    request = render_template(
-        "plan", question=sample.question, options=options, report=sample.report
-    )
-    raw = client.complete(request)
+    raw = client.complete(plan_request(sample))
     goals = _parse_list(raw)
     if goals:
         return goals
@@ -148,16 +162,7 @@ def refine_chain(
     """Step 3: integrate steps into a coherent narrative; populate factuality."""
     if not steps:
         raise ValueError("refine_chain requires at least one evidence step")
-    steps_text = "\n".join(
-        f"{s.order + 1}. {s.goal}: {s.evidence}" for s in steps
-    )
-    request = render_template(
-        "refine",
-        question=sample.question,
-        answer=sample.answer_text(),
-        steps=steps_text,
-    )
-    narrative = client.complete(request).strip()
+    narrative = client.complete(refine_request(sample, steps)).strip()
     if not narrative:
         raise MiningError(sample.id, "refine", "empty narrative")
     if sample.answer_text().casefold() not in narrative.casefold():

@@ -28,19 +28,12 @@ class Role(str, Enum):
 
 
 class ExtractionError(RuntimeError):
-    """llm extraction response could not be parsed."""
-
-    def __init__(self, message: str, raw_response: str = ""):
-        super().__init__(message)
-        self.raw_response = raw_response
+    """llm extraction response could not be parsed; the message quotes it."""
 
 
 class MatchError(RuntimeError):
-    """llm match judgment could not be parsed (never silently false)."""
-
-    def __init__(self, message: str, raw_response: str = ""):
-        super().__init__(message)
-        self.raw_response = raw_response
+    """llm match judgment could not be parsed (never silently false); the
+    message quotes it."""
 
 
 _ARTICLES = ("a ", "an ", "the ")
@@ -383,7 +376,7 @@ class LlmMatcher:
             return ObservationSet((), role=role)
         if phrases:
             return ObservationSet.from_phrases(phrases, role=role)
-        raise ExtractionError("unparseable extraction response", raw)
+        raise ExtractionError(f"unparseable extraction response: {raw!r}")
 
     def matches(self, a: Observation, b: Observation) -> bool:
         from .llm import render_template
@@ -395,7 +388,7 @@ class LlmMatcher:
             return True
         if verdict.startswith("no"):
             return False
-        raise MatchError(f"unparseable match verdict: {raw!r}", raw)
+        raise MatchError(f"unparseable match verdict: {raw!r}")
 
     def partition(
         self, a: ObservationSet, b: ObservationSet

@@ -109,6 +109,46 @@ def test_mine_cache_miss_is_fatal(tmp_path, data_dir, workers, capsys):
     assert not out.exists()
 
 
+def _record(tmp_path, data_dir):
+    """Mine the bundled fixtures on the mock backend into an empty cache;
+    return the cache directory."""
+    config, cache = tmp_path / "record.json", tmp_path / "cache"
+    config.write_text(json.dumps({
+        "mock_fixture": str(data_dir / "mining_fixture.jsonl"), "cache_dir": str(cache),
+    }), encoding="utf-8")
+    rc = main(["--config", str(config), "mine", str(data_dir / "fixture_corpus.jsonl"),
+               "--out", str(tmp_path / "recorded")])
+    assert rc == 2  # the fixtures' two designed rejections
+    return cache
+
+
+def test_recording_asks_for_every_fixture_record(tmp_path, data_dir):
+    # one log line per record: a record that no request asks for is dead
+    cache = _record(tmp_path, data_dir)
+    assert [p.name for p in cache.iterdir()] == ["responses.jsonl"]
+    fixture = (data_dir / "mining_fixture.jsonl").read_bytes()
+    assert (cache / "responses.jsonl").read_bytes().count(b"\n") == fixture.count(b"\n")
+
+
+def test_cache_only_ignores_key_named_files(tmp_path, data_dir, capsys):
+    # every recorded entry moved into a file of its own, `<key>.txt`: none is
+    # read, so the replay stops at its first request
+    cache = _record(tmp_path, data_dir)
+    log = cache / "responses.jsonl"
+    for rec in _read_records(log):
+        (cache / f"{rec['key']}.txt").write_text(rec["response"], encoding="utf-8")
+    log.unlink()
+    config = tmp_path / "replay.json"
+    config.write_text(json.dumps({"cache_dir": str(cache)}), encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["--config", str(config), "--backend", "cache-only",
+               "mine", str(data_dir / "fixture_corpus.jsonl"), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: cache-only backend: no cached response for key "
+    )
+
+
 def test_train_toy_lists_presets_without_arg(tmp_path, capsys):
     rc = main(["train-toy", "corpus.jsonl", "--out", str(tmp_path)])
     assert rc == 0
@@ -312,6 +352,8 @@ _SAMPLE = {"id": "s", "task": "binary_diagnosis", "images": ["x.png"], "question
            "options": [{"label": "A", "text": "yes"}], "answer": "A"}
 _SCORES = {"id": "s", "task": "t", "r_f": 1, "r_c": True, "r_e": 1, "radrscore": 1,
            "outcome": 1}
+_REQUEST = {"template_id": "plan", "template_version": "1", "prompt": "p",
+            "response": "r"}
 _MALFORMED = [
     *[pytest.param(kind, line, reason, id=f"{kind}-{fault}")
       for kind in ("corpus", "chains", "outputs", "records", "fixture")
@@ -326,14 +368,26 @@ _MALFORMED = [
           ("chains", "'sample_id', 'steps', 'narrative', 'r_f'"),
           ("outputs", "'id', 'output'"),
           ("records", "'id', 'task', 'r_f', 'r_c', 'r_e', 'radrscore', 'outcome'"),
-          ("fixture", "'response'"),
+          ("fixture", "'template_id', 'template_version', 'prompt', 'response'"),
       ]],
-    pytest.param("fixture", b'{"response": "r"}', "missing field 'template_id'",
+    pytest.param("fixture", b'{"response": "r"}',
+                 "missing field 'template_id', 'template_version', 'prompt'",
                  id="fixture-missing-request"),
+    # every request is made at one temperature and token limit
+    *[pytest.param("fixture", json.dumps({**_REQUEST, field: value}).encode(),
+                   f"field {field!r} is refused: every request is made at "
+                   "temperature 0.0 and max_tokens 1024", id=f"fixture-{field}")
+      for field, value in [("temperature", 0.0), ("max_tokens", 1024)]],
     pytest.param("records", json.dumps(_SCORES).encode(), "field 'r_c' is not a number",
                  id="records-non-number"),
     pytest.param("records", json.dumps({**_SCORES, "r_c": 1, "task": 3}).encode(),
                  "field 'task' is not a string", id="records-non-string"),
+    # tested before any float(): 10**400 would overflow it
+    *[pytest.param("records", b'{"id": "s", "task": "t", "r_f": ' + value
+                   + b', "r_c": 1, "r_e": 1, "radrscore": 1, "outcome": 1}',
+                   "field 'r_f' is outside [0, 1]", id=f"records-range-{name}")
+      for name, value in [("huge", b"1" + b"0" * 400), ("nan", b"NaN"),
+                          ("inf", b"Infinity"), ("above-one", b"1.5")]],
     pytest.param("corpus", json.dumps({**_SAMPLE, "id": None}).encode(),
                  "field 'id' must be a string", id="corpus-null-id"),
     pytest.param("corpus", json.dumps({**_SAMPLE, "images": 5}).encode(),
@@ -345,8 +399,8 @@ _MALFORMED = [
                  "field 'question' must be a string", id="corpus-null-question"),
     pytest.param("corpus", json.dumps({**_SAMPLE, "answer": None}).encode(),
                  "field 'answer' must be a string", id="corpus-null-answer"),
-    pytest.param("fixture", b'{"response": 5}', "field 'response' is not a string",
-                 id="fixture-non-string-response"),
+    pytest.param("fixture", json.dumps({**_REQUEST, "response": 5}).encode(),
+                 "field 'response' is not a string", id="fixture-non-string-response"),
     pytest.param("config", b"[1]", "not a JSON object", id="config-array"),
     pytest.param("train-config", b'{"grpo": [1]}',
                  "config: section 'grpo' is not a JSON object", id="train-config-grpo"),

@@ -50,15 +50,10 @@ class TestIdempotencyKey:
             {"template_id": "other"},
             {"template_version": "2"},
             {"prompt": "q"},
-            {"temperature": 0.7},
-            {"max_tokens": 16},
         ],
     )
     def test_any_field_changes_key(self, kwargs):
-        base = dict(
-            template_id="plan", template_version="1", prompt="p",
-            temperature=0.0, max_tokens=1024,
-        )
+        base = dict(template_id="plan", template_version="1", prompt="p")
         assert (
             CompletionRequest(**base).idempotency_key
             != CompletionRequest(**{**base, **kwargs}).idempotency_key
@@ -130,13 +125,14 @@ class TestCache:
             "whole", None, "after the tear",
         )
 
-    def test_legacy_entry_files_replay(self, tmp_path):
+    def test_key_named_file_is_a_miss(self, tmp_path):
+        # only the log holds entries: a file named after a key is not one
         req = CompletionRequest("plan", "1", "p")
         (tmp_path / f"{req.idempotency_key}.txt").write_text("recorded", encoding="utf-8")
-        (tmp_path / "notes.txt").write_text("not an entry", encoding="utf-8")
         client = CompletionClient(CacheOnlyBackend(), cache=ResponseCache(tmp_path))
-        assert client.complete(req) == "recorded"
-        assert client.cache.get("notes") is None
+        with pytest.raises(CacheMissError) as exc:
+            client.complete(req)
+        assert exc.value.key == req.idempotency_key
 
     def test_threads_putting_distinct_keys_keep_every_entry(self, tmp_path):
         cache = ResponseCache(tmp_path)
@@ -168,6 +164,12 @@ class TestCache:
         assert client.complete(req) == "ok"
         assert client.complete(req) == "ok"
         assert backend.calls == 1
+
+    def test_client_without_cache_computes_no_key(self):
+        backend = MockBackend({llm._request_digest("plan", "1", "p"): "r"})
+        req = CompletionRequest("plan", "1", "p")
+        assert CompletionClient(backend).complete(req) == "r"
+        assert "idempotency_key" not in vars(req)
 
     def test_cache_only_replays_primed_cache(self, tmp_path):
         req = CompletionRequest("plan", "1", "p")
@@ -287,15 +289,6 @@ class TestMockBackend:
             "(template plan v1)"
         )
 
-    def test_int_zero_temperature_does_not_answer_float_zero(self, tmp_path):
-        backend = MockBackend.from_file(self._fixture(
-            tmp_path, {"template_id": "plan", "template_version": "1", "prompt": "p",
-                       "temperature": 0, "response": "r"},
-        ))
-        with pytest.raises(CompletionError, match="no fixture response"):
-            backend.complete(CompletionRequest("plan", "1", "p", temperature=0.0))
-        assert backend.complete(CompletionRequest("plan", "1", "p", temperature=0)) == "r"
-
     def test_later_duplicate_record_wins(self, tmp_path):
         record = {"template_id": "plan", "template_version": "1", "prompt": "p\u00e9"}
         backend = MockBackend.from_file(self._fixture(
@@ -382,6 +375,16 @@ class TestRemoteBackend:
         except CompletionError as e:
             result = e
         return result, posts, sleeps
+
+    def test_body_carries_the_decoding_constants(self, monkeypatch):
+        result, posts, _ = self._run(monkeypatch, [OK])
+        assert result == "done"
+        assert posts[0]["json"] == {
+            "model": "gpt-4o",
+            "messages": [{"role": "user", "content": "prompt"}],
+            "temperature": 0.0,
+            "max_tokens": 1024,
+        }
 
     def test_transient_failures_retried_with_backoff(self, monkeypatch):
         replies = [

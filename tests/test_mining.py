@@ -14,10 +14,12 @@ from radreason.core import (
     label_by_answer,
     load_corpus,
 )
-from radreason.llm import CacheMissError, make_client
+from radreason.llm import CacheMissError, CompletionClient, make_client
 from radreason.mining import (
+    EvidenceStep,
     MinedChain,
     MiningError,
+    Rejection,
     _parse_list,
     balance,
     build_plans,
@@ -26,7 +28,10 @@ from radreason.mining import (
     filter_by_factuality,
     mine_corpus,
     mine_sample,
+    plan_request,
+    refine_request,
 )
+from radreason.observations import LlmMatcher
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +72,35 @@ class TestParseList:
         assert _parse_list("1. 2.5 cm nodule") == ["2.5 cm nodule"]
         assert _parse_list("3) 4.2 mm") == ["4.2 mm"]
         assert _parse_list("1.Assess the lungs") == ["Assess the lungs"]
+
+
+class TestRequests:
+    def test_plan_request_lists_options(self, fixture_samples):
+        prompt = plan_request(fixture_samples["f003"]).prompt
+        assert "A) atelectasis B) pneumonia C) normal study" in prompt
+        assert "Bibasilar atelectasis. No pneumothorax." in prompt
+        assert "(open-ended)" in plan_request(fixture_samples["f005"]).prompt
+
+    def test_refine_request_numbers_steps_from_one(self, fixture_samples):
+        steps = [
+            EvidenceStep("Assess heart size", 0, "Mild cardiomegaly", inferred=False),
+            EvidenceStep("Assess the ribs", 1, "no disease", inferred=True),
+        ]
+        request = refine_request(fixture_samples["f007"], steps)
+        assert (request.template_id, request.template_version) == ("refine", "1")
+        assert "1. Assess heart size: Mild cardiomegaly\n2. Assess the ribs: no disease" in (
+            request.prompt
+        )
+
+
+class ByTemplate:
+    """Backend that answers each request by its template."""
+
+    def __init__(self, responses: dict[str, str]):
+        self.responses = responses
+
+    def complete(self, request) -> str:
+        return self.responses[request.template_id]
 
 
 class TestMineSample:
@@ -112,6 +146,18 @@ class TestMineCorpus:
         one = mine_corpus(fixture_corpus, mock_client, matcher, workers=1)
         four = mine_corpus(fixture_corpus, mock_client, matcher, workers=4)
         assert one == four
+
+    def test_llm_matcher_rejection_quotes_the_response(self, fixture_samples):
+        client = CompletionClient(ByTemplate({
+            "plan": "1. Assess for pleural effusion",
+            "evidence": "No pleural effusion",
+            "refine": "No pleural effusion. The answer is no.",
+            "extract": "-\n",
+        }))
+        corpus = Corpus((fixture_samples["f002"],))
+        assert mine_corpus(corpus, client, LlmMatcher(client)) == ([], [
+            Rejection("f002", "mine", "unparseable extraction response: '-\\n'"),
+        ])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_completion_failure_raised(self, fixture_corpus, matcher, tmp_path, workers):

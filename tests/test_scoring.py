@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from radreason.core import Option, TaskType, VqaSample
 from radreason.llm import CompletionClient
-from radreason.observations import LlmMatcher, ObservationSet, Polarity, Role
+from radreason.observations import (
+    ExtractionError,
+    LlmMatcher,
+    MatchError,
+    ObservationSet,
+    Polarity,
+    Role,
+)
 from radreason.scoring import (
     NotScorableError,
     RatioResult,
@@ -216,6 +223,18 @@ class TestLlmExtraction:
     def test_bullets_stripped(self):
         found = self.extract("- Edema\n  * No effusion\n-\n")
         assert [o.surface for o in found.items] == ["Edema", "No effusion"]
+
+    def test_unparseable_response_is_quoted(self):
+        with pytest.raises(ExtractionError) as exc:
+            self.extract("1.\n- \n")
+        assert str(exc.value) == "unparseable extraction response: '1.\\n- \\n'"
+
+    def test_unparseable_verdict_is_quoted(self):
+        matcher = LlmMatcher(CompletionClient(FixedResponse("maybe")))
+        a, b = obs(["edema"]), obs(["effusion"], Role.REPORT)
+        with pytest.raises(MatchError) as exc:
+            matcher.matches(a.items[0], b.items[0])
+        assert str(exc.value) == "unparseable match verdict: 'maybe'"
 
     def test_marker_needs_whitespace_after_it(self):
         found = self.extract("2.5 cm nodule\n3)mass\n")
