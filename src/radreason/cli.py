@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from .core import load_corpus, write_json
+from .core import Kind, kind_fault, load_corpus, write_json
 from .harness import (
     EXIT_FATAL,
     EXIT_OK,
@@ -26,17 +27,39 @@ from .policy import GrpoConfig
 from .training import PRESETS, SftConfig
 
 
-# the top-level keys a config file may hold; any other is refused
-_CONFIG_KEYS = ("matcher", "synonym_table", "cache_dir", "mock_fixture", "base_url", "sft", "grpo")
+# the kind of each top-level key a config file may hold; any other is refused
+_CONFIG_FIELDS = {"sft": Kind.OBJECT, "grpo": Kind.OBJECT, **dict.fromkeys(
+    ("matcher", "synonym_table", "cache_dir", "mock_fixture", "base_url"), Kind.STRING)}
+# a config section's key has the kind of its dataclass field's annotation
+_ANNOTATION_KINDS = {"int": Kind.INTEGER, "float": Kind.NUMBER, "str": Kind.STRING}
 
 
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    config = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        config = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path}: invalid JSON: nested too deeply") from None
     if not isinstance(config, dict):
         raise ValueError(f"{path}: not a JSON object")
     return config
+
+
+def _section(cls, name: str, section: dict):
+    """`cls` built from a config section, whose keys must be fields of `cls`
+    of their annotated kind; a fault, or a value that `cls` refuses, raises
+    ValueError `config: <section>.<field> ...`."""
+    kinds = {f.name: _ANNOTATION_KINDS[f.type] for f in dataclasses.fields(cls)}
+    for key, value in section.items():
+        if key not in kinds:
+            raise ValueError(f"config: unknown key {key!r} in section {name!r}")
+        if fault := kind_fault(value, kinds[key]):
+            raise ValueError(f"config: {name}.{key} {fault}")
+    try:
+        return cls(**section)
+    except ValueError as e:
+        raise ValueError(f"config: {name}.{e}") from None
 
 
 def _make_matcher(args, config: dict, client=None):
@@ -125,9 +148,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FATAL
 
     try:
-        unknown = [key for key in config if key not in _CONFIG_KEYS]
-        if unknown:
-            raise ValueError(f"config: unknown key {unknown[0]!r}")
+        for key, value in config.items():
+            if key not in _CONFIG_FIELDS:
+                raise ValueError(f"config: unknown key {key!r}")
+            if fault := kind_fault(value, _CONFIG_FIELDS[key]):
+                what = "section" if _CONFIG_FIELDS[key] is Kind.OBJECT else "key"
+                raise ValueError(f"config: {what} {key!r} {fault}")
         if args.command in ("mine", "compile-bench"):
             corpus = load_corpus(args.corpus)
             matcher = None
@@ -177,9 +203,6 @@ def main(argv: list[str] | None = None) -> int:
                 return EXIT_OK
             corpus = load_corpus(args.corpus)
             sections = {name: config.get(name, {}) for name in ("sft", "grpo")}
-            for name, section in sections.items():
-                if not isinstance(section, dict):
-                    raise ValueError(f"config: section {name!r} is not a JSON object")
             if "seed" in sections["grpo"]:
                 raise ValueError("config: section 'grpo' cannot set 'seed'; --seed sets it")
             if sections["grpo"].get("clip_mode") == "literal":
@@ -188,11 +211,8 @@ def main(argv: list[str] | None = None) -> int:
                     "update per batch the ratio is 1 and min(ratio, 1 - clip_eps) * A has "
                     "no advantage gradient; use 'standard'"
                 )
-            try:
-                sft_cfg = SftConfig(**sections["sft"])
-                grpo_cfg = GrpoConfig(**{**sections["grpo"], "seed": args.seed})
-            except TypeError as e:  # a key the config section does not have
-                raise ValueError(f"config: {e}") from None
+            sft_cfg = _section(SftConfig, "sft", sections["sft"])
+            grpo_cfg = _section(GrpoConfig, "grpo", {**sections["grpo"], "seed": args.seed})
             checkpoint = cmd_train_toy(
                 corpus,
                 args.preset,

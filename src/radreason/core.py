@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import re
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class TaskType(str, Enum):
@@ -152,49 +154,114 @@ def sample_to_record(sample: VqaSample, **fields: str) -> dict:
     }
 
 
-SAMPLE_FIELDS = ("id", "task", "images", "question", "answer")
+class Kind(Enum):
+    """A field's kind in a field table: the noun its fault names and the JSON
+    types it admits, tested exactly (JSON true is never an integer or a
+    number). An optional kind admits null, and a missing field reads as null."""
+
+    STRING = "a string", (str,)
+    INTEGER = "an integer", (int,)
+    NUMBER = "a finite number", (int, float)
+    RATIO = "a number", (int, float)
+    BOOLEAN = "a boolean", (bool,)
+    LIST = "a list", (list,)
+    OBJECT = "a JSON object", (dict,)
+    OPTIONAL_STRING = "a string", (str, type(None))
+    OPTIONAL_LIST = "a list", (list, type(None))
+
+    def __init__(self, noun: str, types: tuple[type, ...]):
+        self.noun, self.types = noun, types  # read faster than `.value`
+
+
+# a UTF-16 surrogate: JSON's \ud800 escape parses to one, and no UTF-8 text holds it
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def kind_fault(value, kind: Kind) -> Optional[str]:
+    """How `value` fails to be of `kind`, e.g. "is not a string", or None. A
+    string must hold no lone surrogate, a number must be finite and a ratio
+    lie in [0, 1], all tested on the parsed value, so a huge integer, NaN or
+    Infinity is refused before any `float()`."""
+    if type(value) not in kind.types:
+        return f"is not {kind.noun}"
+    if type(value) is str:
+        return None if value.isascii() or not _SURROGATE.search(value) else "holds a lone surrogate"
+    if kind is Kind.RATIO and not 0 <= value <= 1:
+        return "is outside [0, 1]"
+    if kind is Kind.NUMBER and not -sys.float_info.max <= value <= sys.float_info.max:
+        return f"is not {kind.noun}"
+    return None
+
+
+def record_fault(rec: dict, fields: Mapping[str, Kind]) -> Optional[str]:
+    """The first fault of a record against a field table, or None: every
+    missing field, all named, then the first field of the wrong kind."""
+    missing = [f for f, kind in fields.items() if f not in rec and type(None) not in kind.types]
+    if missing:
+        return "missing field " + ", ".join(map(repr, missing))
+    for f, kind in fields.items():
+        if fault := kind_fault(rec.get(f), kind):
+            return f"field {f!r} {fault}"
+    return None
+
+
+def items_fault(name: str, items: list, fields: Mapping[str, Kind]) -> Optional[str]:
+    """The first fault of field `name`, a list of records of `fields`."""
+    for item in items:
+        if type(item) is not dict:
+            return f"field {name!r} is not a list of {{{', '.join(fields)}}} objects"
+        if fault := record_fault(item, fields):
+            return fault
+    return None
+
+
+SAMPLE_FIELDS = {
+    "id": Kind.STRING, "task": Kind.STRING, "images": Kind.LIST, "question": Kind.STRING,
+    "answer": Kind.STRING, "options": Kind.OPTIONAL_LIST,
+    **dict.fromkeys(("report", "reasoning", "source", "split"), Kind.OPTIONAL_STRING),
+}
+_OPTION_FIELDS = {"label": Kind.STRING, "text": Kind.STRING}
 
 
 def sample_from_record(rec: dict) -> VqaSample:
-    """Build and validate a sample from a record holding every field of
-    `SAMPLE_FIELDS`; a field of the wrong shape raises CorpusError."""
+    """Build and validate a sample from a record that has no `record_fault`
+    against `SAMPLE_FIELDS`; an unknown task, an image reference that is not
+    a string, a malformed option or an invalid sample raises CorpusError. A
+    null optional field reads as absent."""
     try:
         task = TaskType(rec["task"])
     except ValueError:
         raise CorpusError(f"field 'task' unknown: {rec['task']!r}") from None
-    for name in ("id", "question", "answer"):
-        if not isinstance(rec[name], str):
-            raise CorpusError(f"field {name!r} must be a string")
-    images, options = rec["images"], rec.get("options") or []
-    if not isinstance(images, list):
-        raise CorpusError("field 'images' must be a list")
-    if not (isinstance(options, list)
-            and all(isinstance(o, dict) and "label" in o and "text" in o for o in options)):
-        raise CorpusError("field 'options' must be a list of {label, text} objects")
+    if any(kind_fault(image, Kind.STRING) for image in rec["images"]):
+        raise CorpusError("field 'images' is not a list of strings")
+    options = rec.get("options") or []
+    if fault := items_fault("options", options, _OPTION_FIELDS):
+        raise CorpusError(fault)
     sample = VqaSample(
         id=rec["id"],
         task=task,
-        images=tuple(str(x) for x in images),
+        images=tuple(rec["images"]),
         question=rec["question"],
-        options=tuple(Option(label=str(o["label"]), text=str(o["text"])) for o in options),
+        options=tuple(Option(label=o["label"], text=o["text"]) for o in options),
         answer=rec["answer"],
-        report=str(rec.get("report") or ""),
-        reasoning=str(rec.get("reasoning") or ""),
-        source=str(rec.get("source") or ""),
-        split=str(rec.get("split") or "train"),
+        report=rec.get("report") or "",
+        reasoning=rec.get("reasoning") or "",
+        source=rec.get("source") or "",
+        split=rec.get("split") or "train",
     )
     sample.validate()
     return sample
 
 
 def read_jsonl(
-    path: str | Path, required: tuple[str, ...]
+    path: str | Path, fields: Mapping[str, Kind]
 ) -> Iterator[tuple[int, Optional[dict], Optional[str]]]:
     """Stream a JSON Lines file as (line number, record, reason) per non-blank
-    line. `reason` is None for an object holding every `required` field, else
-    it names the fault: invalid UTF-8, invalid JSON, not a JSON object, or
-    missing fields. `record` is the parsed object whenever the line is one, so
-    a caller can still name a record that lacks a field."""
+    line. `reason` is None for an object with no `record_fault` against the
+    field table `fields`, else it names the fault: invalid UTF-8, invalid or
+    too deeply nested JSON, not a JSON object, or the record's fault.
+    `record` is the parsed object whenever the line is one, so a caller can
+    still name a record with a faulty field."""
     with Path(path).open("rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             # decoded line by line, so one bad byte costs only its own line
@@ -210,12 +277,13 @@ def read_jsonl(
             except json.JSONDecodeError as e:
                 yield lineno, None, f"invalid JSON at column {e.colno}: {e.msg}"
                 continue
+            except RecursionError:
+                yield lineno, None, "invalid JSON: nested too deeply"
+                continue
             if not isinstance(rec, dict):
                 yield lineno, None, "not a JSON object"
                 continue
-            missing = [f for f in required if f not in rec]
-            reason = "missing field " + ", ".join(map(repr, missing)) if missing else None
-            yield lineno, rec, reason
+            yield lineno, rec, record_fault(rec, fields)
 
 
 def map_in_order(fn: Callable, items: Sequence, workers: int) -> list:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .core import Corpus, map_in_order, read_jsonl, write_json, write_jsonl
+from .core import Corpus, Kind, kind_fault, map_in_order, read_jsonl, write_json, write_jsonl
 from .llm import CompletionClient, load_template
 from .mining import (
     BenchmarkBundle,
@@ -103,6 +103,9 @@ def write_manifest(out_dir: Path, config: dict, seed: int, matcher=None) -> None
 # ---------------------------------------------------------------------------
 # scoring driver
 
+_OUTPUT_FIELDS = {"id": Kind.STRING, "output": Kind.STRING}
+
+
 def cmd_score(
     outputs_path: str | Path,
     corpus: Corpus,
@@ -119,12 +122,14 @@ def cmd_score(
     parsed once, for its scores and its rewards.
     """
     rows, bad_lines = [], []
-    for lineno, rec, reason in read_jsonl(outputs_path, ("id", "output")):
-        sample_id = str(rec["id"]) if rec is not None and "id" in rec else None
+    for lineno, rec, reason in read_jsonl(outputs_path, _OUTPUT_FIELDS):
         if reason:
-            bad_lines.append({"id": sample_id, "line": lineno, "error": reason})
+            # the error names the record's id when that is a string
+            named = rec and kind_fault(rec.get("id"), Kind.STRING) is None
+            bad_lines.append({"id": rec["id"] if named else None, "line": lineno,
+                              "error": reason})
         else:
-            rows.append((lineno, sample_id, str(rec["output"])))
+            rows.append((lineno, rec["id"], rec["output"]))
     by_id = {s.id: s for s in corpus.samples}
 
     def _one(row):
@@ -159,6 +164,7 @@ def cmd_score(
 # evaluation
 
 _METRICS = ("r_f", "r_c", "r_e", "radrscore", "outcome")
+_SCORE_FIELDS = {"id": Kind.STRING, "task": Kind.STRING, **dict.fromkeys(_METRICS, Kind.RATIO)}
 
 
 @dataclass(frozen=True)
@@ -202,22 +208,6 @@ def _metric_cells(table: np.ndarray, resamples: int, seed: int) -> dict:
     }
 
 
-def _eval_fault(rec: dict) -> str | None:
-    """Why `eval` cannot use a score record, or None: `id` and `task` must be
-    strings and every metric a number (JSON true is not one) in [0, 1]. The
-    range is tested on the parsed value, so a huge integer, NaN or Infinity
-    is refused before any `float()`."""
-    for field in ("id", "task"):
-        if not isinstance(rec[field], str):
-            return f"field {field!r} is not a string"
-    for m in _METRICS:
-        if type(rec[m]) not in (int, float):
-            return f"field {m!r} is not a number"
-        if not 0 <= rec[m] <= 1:
-            return f"field {m!r} is outside [0, 1]"
-    return None
-
-
 def cmd_eval(
     records_path: str | Path,
     resamples: int = 1000,
@@ -228,10 +218,9 @@ def cmd_eval(
     `error_record` lines; any other bad line raises ValueError `path:line: reason`.
     A record is kept as (id, task, *metrics), not as its parsed line."""
     records = []
-    for lineno, rec, reason in read_jsonl(records_path, ("id", "task", *_METRICS)):
+    for lineno, rec, reason in read_jsonl(records_path, _SCORE_FIELDS):
         if rec is not None and "error_record" in rec:
             continue
-        reason = reason or _eval_fault(rec)
         if reason:
             raise ValueError(f"{records_path}:{lineno}: {reason}")
         records.append((rec["id"], rec["task"], *(float(rec[m]) for m in _METRICS)))

@@ -21,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .core import dumps_sorted, read_jsonl
+from .core import Kind, dumps_sorted, read_jsonl
 
 CREDENTIAL_ENV_VAR = "RADREASON_API_KEY"
 
@@ -125,8 +125,8 @@ class ResponseCache:
                     try:
                         rec = json.loads(line)
                         key, response = rec["key"], rec["response"]
-                    except (ValueError, TypeError, KeyError):  # torn, or not an entry
-                        continue
+                    except (ValueError, TypeError, KeyError, RecursionError):
+                        continue  # torn, or not an entry
                     if isinstance(key, str) and isinstance(response, str):
                         entries.setdefault(key, response)
         except FileNotFoundError:
@@ -169,7 +169,8 @@ def _request_digest(template_id: str, template_version: str, prompt: str) -> byt
     ).digest()
 
 
-_FIXTURE_FIELDS = ("template_id", "template_version", "prompt", "response")
+_FIXTURE_FIELDS = dict.fromkeys(
+    ("template_id", "template_version", "prompt", "response"), Kind.STRING)
 
 
 def _fixture_fault(rec: dict) -> Optional[str]:
@@ -179,9 +180,6 @@ def _fixture_fault(rec: dict) -> Optional[str]:
         if field in rec:
             return (f"field {field!r} is refused: every request is made at "
                     f"temperature {TEMPERATURE} and max_tokens {MAX_TOKENS}")
-    for field in _FIXTURE_FIELDS:
-        if not isinstance(rec[field], str):
-            return f"field {field!r} is not a string"
     return None
 
 

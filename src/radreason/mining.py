@@ -18,7 +18,9 @@ import numpy as np
 from .core import (
     Corpus,
     CorpusError,
+    Kind,
     VqaSample,
+    items_fault,
     label_by_answer,
     map_in_order,
     read_jsonl,
@@ -68,7 +70,7 @@ class MinedChain:
                 goal=s["goal"],
                 order=s["order"],
                 evidence=s["evidence"],
-                inferred=bool(s["inferred"]),
+                inferred=s["inferred"],
             )
             for s in rec["steps"]
         )
@@ -76,8 +78,15 @@ class MinedChain:
             sample_id=rec["sample_id"],
             steps=steps,
             narrative=rec["narrative"],
+            # an integer r_f, which a ratio may be, is written back as a float
             r_f=float(rec["r_f"]),
         )
+
+
+_CHAIN_FIELDS = {"sample_id": Kind.STRING, "steps": Kind.LIST, "narrative": Kind.STRING,
+                 "r_f": Kind.RATIO}
+_STEP_FIELDS = {"goal": Kind.STRING, "order": Kind.INTEGER, "evidence": Kind.STRING,
+                "inferred": Kind.BOOLEAN}
 
 
 def load_chains(path: str | Path) -> list[MinedChain]:
@@ -85,14 +94,13 @@ def load_chains(path: str | Path) -> list[MinedChain]:
     of a mining run). A malformed line raises ValueError
     located as `path:line: reason`."""
     chains = []
-    for lineno, rec, reason in read_jsonl(path, ("sample_id", "steps", "narrative", "r_f")):
+    for lineno, rec, reason in read_jsonl(path, _CHAIN_FIELDS):
+        reason = reason or items_fault("steps", rec["steps"], _STEP_FIELDS)
         if reason:
             raise ValueError(f"{path}:{lineno}: {reason}")
         try:
             chains.append(MinedChain.from_record(rec))
-        except KeyError as e:
-            raise ValueError(f"{path}:{lineno}: missing field {e}") from None
-        except (AttributeError, TypeError, ValueError) as e:
+        except ValueError as e:  # a blank plan goal
             raise ValueError(f"{path}:{lineno}: malformed chain: {e}") from None
     return chains
 

@@ -470,10 +470,14 @@ class GrpoConfig:
             raise ValueError("clip_eps must lie in (0, 1)")
         if self.kl_coef < 0:
             raise ValueError("kl_coef must be non-negative")
+        if self.steps < 0:
+            raise ValueError("steps must be >= 0")
         if self.clip_mode not in ("standard", "literal"):
-            raise ValueError(f"unknown clip_mode {self.clip_mode!r}")
+            raise ValueError(f"clip_mode must be 'standard' or 'literal', got {self.clip_mode!r}")
         if self.kl_estimator not in ("log_ratio", "k3"):
-            raise ValueError(f"unknown kl_estimator {self.kl_estimator!r}")
+            raise ValueError(
+                f"kl_estimator must be 'log_ratio' or 'k3', got {self.kl_estimator!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,10 @@ class SftConfig:
     learning_rate: float = 0.5  # tabular-regime rescale of the nominal 2e-6
     steps: int = 25
 
+    def __post_init__(self) -> None:
+        if self.steps < 0:
+            raise ValueError("steps must be >= 0")
+
 
 @dataclass
 class StepStats:

@@ -1,12 +1,19 @@
+import contextlib
+import functools
 import hashlib
+import io
 import json
+import operator
 import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from radreason.cli import build_parser, main
-from radreason.core import write_jsonl
+from radreason.core import save_corpus, write_jsonl
+from radreason.training import make_toy_corpus
 
 
 @pytest.fixture()
@@ -287,7 +294,7 @@ def test_compile_bench_reports_filtered_chains(tmp_path, data_dir, mock_config):
     [
         ('{"sample_id": "f001"}', "missing field 'steps'"),
         ('{"sample_id": "f001", "steps": [], "narrative": "n", "r_f": "high"}',
-         "malformed chain: could not convert string to float: 'high'"),
+         "field 'r_f' is not a number"),
         ('{"sample_id": "f001", "steps": [{"goal": "g"}], "narrative": "n", "r_f": 1}',
          "missing field 'order'"),
         ('{"sample_id": "f001", "steps": [{"goal": " ", "order": 0, "evidence": "e", '
@@ -295,6 +302,19 @@ def test_compile_bench_reports_filtered_chains(tmp_path, data_dir, mock_config):
          "malformed chain: plan step goal must be non-empty"),
         ('{"sample_id": "f001", "steps',
          "invalid JSON at column 23: Unterminated string starting at"),
+        ('{"sample_id": "f001", "steps": [{"goal": "g", "order": 0, "evidence": "e", '
+         '"inferred": "false"}], "narrative": "n", "r_f": 1}',
+         "field 'inferred' is not a boolean"),
+        ('{"sample_id": "f001", "steps": [], "narrative": "n", "r_f": "1"}',
+         "field 'r_f' is not a number"),
+        ('{"sample_id": "f001", "steps": [], "narrative": "n", "r_f": 7}',
+         "field 'r_f' is outside [0, 1]"),
+        ('{"sample_id": "f001", "steps": [], "narrative": "n", "r_f": NaN}',
+         "field 'r_f' is outside [0, 1]"),
+        ('{"sample_id": "f001", "steps": [], "narrative": ["n"], "r_f": 1}',
+         "field 'narrative' is not a string"),
+        ('{"sample_id": "f001", "steps": ["g"], "narrative": "n", "r_f": 1}',
+         "field 'steps' is not a list of {goal, order, evidence, inferred} objects"),
     ],
 )
 def test_compile_bench_locates_malformed_chain(tmp_path, data_dir, capsys, line, error):
@@ -361,6 +381,7 @@ _MALFORMED = [
           ("utf8", b'{"id": "\xff"}', "invalid UTF-8 at byte 8: invalid start byte"),
           ("json", b'{"id": "x"', "invalid JSON at column 11: Expecting ',' delimiter"),
           ("array", b"[1, 2]", "not a JSON object"),
+          ("deep", b"[" * 100_000, "invalid JSON: nested too deeply"),
       ]],
     *[pytest.param(kind, b"{}", "missing field " + fields, id=f"{kind}-missing")
       for kind, fields in [
@@ -389,19 +410,33 @@ _MALFORMED = [
       for name, value in [("huge", b"1" + b"0" * 400), ("nan", b"NaN"),
                           ("inf", b"Infinity"), ("above-one", b"1.5")]],
     pytest.param("corpus", json.dumps({**_SAMPLE, "id": None}).encode(),
-                 "field 'id' must be a string", id="corpus-null-id"),
+                 "field 'id' is not a string", id="corpus-null-id"),
     pytest.param("corpus", json.dumps({**_SAMPLE, "images": 5}).encode(),
-                 "field 'images' must be a list", id="corpus-images"),
+                 "field 'images' is not a list", id="corpus-images"),
+    pytest.param("corpus", json.dumps({**_SAMPLE, "images": [1]}).encode(),
+                 "field 'images' is not a list of strings", id="corpus-image-number"),
     pytest.param("corpus", json.dumps({**_SAMPLE, "options": ["A"]}).encode(),
-                 "field 'options' must be a list of {label, text} objects",
+                 "field 'options' is not a list of {label, text} objects",
                  id="corpus-options"),
     pytest.param("corpus", json.dumps({**_SAMPLE, "question": None}).encode(),
-                 "field 'question' must be a string", id="corpus-null-question"),
+                 "field 'question' is not a string", id="corpus-null-question"),
     pytest.param("corpus", json.dumps({**_SAMPLE, "answer": None}).encode(),
-                 "field 'answer' must be a string", id="corpus-null-answer"),
+                 "field 'answer' is not a string", id="corpus-null-answer"),
     pytest.param("fixture", json.dumps({**_REQUEST, "response": 5}).encode(),
                  "field 'response' is not a string", id="fixture-non-string-response"),
+    pytest.param("corpus", json.dumps({**_SAMPLE, "question": "q\ud800"}).encode(),
+                 "field 'question' holds a lone surrogate", id="corpus-lone-surrogate"),
+    *[pytest.param("outputs", json.dumps(rec).encode(), reason, id=f"outputs-{name}")
+      for name, rec, reason in [
+          ("list-output", {"id": "s", "output": ["<answer>A</answer>"]},
+           "field 'output' is not a string"),
+          ("integer-output", {"id": "s", "output": 0}, "field 'output' is not a string"),
+          ("list-id", {"id": ["s"], "output": "<answer>A</answer>"},
+           "field 'id' is not a string"),
+      ]],
     pytest.param("config", b"[1]", "not a JSON object", id="config-array"),
+    pytest.param("config", b"[" * 100_000, "invalid JSON: nested too deeply",
+                 id="config-deep"),
     pytest.param("train-config", b'{"grpo": [1]}',
                  "config: section 'grpo' is not a JSON object", id="train-config-grpo"),
     pytest.param("train-config", b'{"sft": 5}',
@@ -414,6 +449,21 @@ _MALFORMED = [
                  "update per batch the ratio is 1 and min(ratio, 1 - clip_eps) * A has "
                  "no advantage gradient; use 'standard'",
                  id="train-config-grpo-literal-clip"),
+    *[pytest.param("train-config", config, reason, id=f"train-config-{name}")
+      for name, config, reason in [
+          ("grpo-steps-string", b'{"grpo": {"steps": "5"}}', "config: grpo.steps is not an integer"),
+          ("sft-rate-string", b'{"sft": {"learning_rate": "0.5"}}',
+           "config: sft.learning_rate is not a finite number"),
+          ("sft-steps-bool", b'{"sft": {"steps": true}}', "config: sft.steps is not an integer"),
+          ("grpo-rate-nan", b'{"grpo": {"learning_rate": NaN}}',
+           "config: grpo.learning_rate is not a finite number"),
+          ("grpo-steps-negative", b'{"grpo": {"steps": -1}}', "config: grpo.steps must be >= 0"),
+          ("sft-steps-negative", b'{"sft": {"steps": -1}}', "config: sft.steps must be >= 0"),
+          ("grpo-group-size", b'{"grpo": {"group_size": 1}}',
+           "config: grpo.group_size must be >= 2"),
+      ]],
+    pytest.param("score-config", b'{"cache_dir": 5}', "config: key 'cache_dir' is not a string",
+                 id="score-config-cache-dir"),
     # a misspelt key would otherwise fall back to its default unnoticed
     *[pytest.param(f"{command}-config", b'{"matchr": "llm", "synonym_tabel": "x.tsv"}',
                    "config: unknown key 'matchr'", id=f"{command}-config-unknown-key")
@@ -431,9 +481,11 @@ def test_malformed_input_located(tmp_path, data_dir, capsys, kind, line, reason)
     rc = main([arg.format(**paths) for arg in _ARGV[kind]])
     err = capsys.readouterr().err
     if kind == "outputs":
+        # the error names the line's id when that is a string
+        sample_id = "s" if b'"id": "s"' in line else None
         assert rc == 2 and err == ""
         assert json.loads((tmp_path / "out").read_text(encoding="utf-8")) == {
-            "error_record": {"id": None, "line": 2, "error": reason}
+            "error_record": {"id": sample_id, "line": 2, "error": reason}
         }
     elif kind == "config":
         assert rc == 1 and err == f"error: cannot read config: {bad}: {reason}\n"
@@ -441,6 +493,78 @@ def test_malformed_input_located(tmp_path, data_dir, capsys, kind, line, reason)
         assert rc == 1 and err == f"error: {reason}\n"
     else:
         assert rc == 1 and err == f"error: {bad}:2: {reason}\n"
+
+
+# A valid record of each input kind and the argv that reads it as {bad}. The
+# fuzz test mutates one field of it, at any depth, and runs the command.
+_FUZZ = {
+    "corpus": ({**_SAMPLE, "report": "Effusion.", "reasoning": "effusion"},
+               ["score", "{bad}", "{outputs}", "--out", "{out}"]),
+    "chains": ({"sample_id": "f001", "steps": [{"goal": "g", "order": 0, "evidence": "e",
+                                                "inferred": False}],
+                "narrative": "n", "r_f": 1.0}, _ARGV["chains"]),
+    "outputs": ({"id": "f001", "output": "<think>Effusion.</think><answer>A</answer>"},
+                _ARGV["outputs"]),
+    "records": ({**_SCORES, "r_c": 1}, ["eval", "{bad}", "--resamples", "10"]),
+    "fixture": (_REQUEST, _ARGV["fixture"]),
+    "config": ({"matcher": "lexical", "sft": {"steps": 1, "learning_rate": 0.5},
+                "grpo": {"steps": 1, "group_size": 2, "clip_mode": "standard"}},
+               ["--config", "{bad}", "train-toy", "{toy}", "--preset", "sft_ro",
+                "--out", "{out}"]),
+}
+# delete the field, give it a value of another JSON type, or splice in raw text
+_MUTATIONS = [("delete",), *[("value", v) for v in (None, True, 2, 0.5, "x", [], {})],
+              ("raw", "NaN"), ("raw", "[" * 100_000 + "]" * 100_000), ("surrogate",)]
+
+
+def _paths(value, head=()):
+    """The path to every member of a JSON value's objects and lists."""
+    members = (value.items() if isinstance(value, dict)
+               else enumerate(value) if isinstance(value, list) else ())
+    for key, child in members:
+        yield head + (key,)
+        yield from _paths(child, head + (key,))
+
+
+@pytest.mark.parametrize("kind", _FUZZ)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_mutated_input_fails_cleanly(tmp_path_factory, data_dir, kind, data):
+    base, argv = _FUZZ[kind]
+    path = data.draw(st.sampled_from(list(_paths(base))))
+    mutation = data.draw(st.sampled_from(_MUTATIONS))
+    rec = json.loads(json.dumps(base))
+    *head, last = path
+    parent = functools.reduce(operator.getitem, head, rec)
+    original = parent[last]
+    if mutation[0] == "value":
+        assume(type(mutation[1]) is not type(original))
+    if mutation[0] == "surrogate":
+        assume(isinstance(original, str))
+    if mutation[0] == "delete":
+        del parent[last]
+    else:
+        parent[last] = {"value": mutation[-1], "raw": "@raw@",
+                        "surrogate": f"{original}\ud800"}[mutation[0]]
+    line = json.dumps(rec)
+    if mutation[0] == "raw":
+        line = line.replace('"@raw@"', mutation[1])
+
+    tmp = tmp_path_factory.mktemp(kind)
+    bad, toy, outputs = tmp / "bad.jsonl", tmp / "toy.jsonl", tmp / "outputs.jsonl"
+    bad.write_text("\n" + line + "\n", encoding="utf-8")
+    save_corpus(make_toy_corpus(), toy)
+    write_jsonl(outputs, [{"id": "s", "output": "<think>effusion</think><answer>A</answer>"}])
+    (tmp / "config.json").write_text(json.dumps({"mock_fixture": str(bad)}), encoding="utf-8")
+    paths = {"bad": bad, "config": tmp / "config.json", "out": tmp / "out", "toy": toy,
+             "outputs": outputs, "corpus": data_dir / "fixture_corpus.jsonl"}
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main([arg.format(**paths) for arg in argv])
+    assert rc in (0, 1, 2)
+    if rc == 1:
+        located = (f"error: {bad}:2: ", "error: config: ", f"error: cannot read config: {bad}: ")
+        assert err.getvalue().startswith(located), err.getvalue()
 
 
 def test_score_records_empty_output_and_scores_the_rest(tmp_path, data_dir, mock_config):

@@ -386,6 +386,7 @@ class TestGrpoConfig:
             {"clip_eps": 0.0},
             {"clip_eps": 1.0},
             {"kl_coef": -0.1},
+            {"steps": -1},
             {"clip_mode": "soft"},
             {"kl_estimator": "k2"},
         ],
