@@ -84,11 +84,14 @@ def _make_llm_client(args, config: dict):
     )
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_from(low: int):
+    """An argparse type: an integer; one below `low` is a usage error."""
+    def parse(text: str) -> int:
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # as argparse names it: "invalid int value: 'x'"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,26 +103,24 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_int_from(0), default=0)
     parser.add_argument(
         "--backend",
         choices=["remote", "mock", "cache-only"],
         default="mock",
         help="completion backend for mining / llm matching",
     )
-    parser.add_argument("--workers", type=_positive_int, default=1)
+    parser.add_argument("--workers", type=_int_from(1), default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mine", help="mine reasoning chains and compile a benchmark")
     p.add_argument("corpus")
     p.add_argument("--out", required=True, help="run directory")
-    p.add_argument("--threshold", type=float, default=1.0)
 
     p = sub.add_parser("compile-bench", help="compile a benchmark from corpus + chains")
     p.add_argument("corpus")
     p.add_argument("chains", help="JSONL of mined chains")
     p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=float, default=1.0)
 
     p = sub.add_parser("score", help="score model outputs against the corpus")
     p.add_argument("corpus")
@@ -129,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="aggregate score records into a CI table")
     p.add_argument("records", help="score records file from `score`")
     p.add_argument("--out", help="machine-readable report file")
-    p.add_argument("--resamples", type=_positive_int, default=1000)
+    p.add_argument("--resamples", type=_int_from(1), default=1000)
 
     p = sub.add_parser("train-toy", help="run a toy training preset")
     p.add_argument("corpus")
@@ -160,23 +161,11 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "mine":
                 client = _make_llm_client(args, config)
                 matcher = _make_matcher(args, config, client)
-                bundle, n_rejected = cmd_mine(
-                    corpus,
-                    client,
-                    matcher,
-                    out_dir=args.out,
-                    seed=args.seed,
-                    threshold=args.threshold,
-                    workers=args.workers,
-                )
+                bundle, n_rejected = cmd_mine(corpus, client, matcher, out_dir=args.out,
+                                              seed=args.seed, workers=args.workers)
             else:
-                bundle, n_rejected = cmd_compile(
-                    corpus,
-                    load_chains(args.chains),
-                    out_dir=args.out,
-                    seed=args.seed,
-                    threshold=args.threshold,
-                )
+                bundle, n_rejected = cmd_compile(corpus, load_chains(args.chains),
+                                                 out_dir=args.out, seed=args.seed)
             write_manifest(Path(args.out), config, args.seed, matcher)
             print(json.dumps(bundle.manifest["counts"], sort_keys=True))
             return EXIT_SAMPLE_ERRORS if n_rejected else EXIT_OK

@@ -104,6 +104,9 @@ class VqaSample:
                 )
             if not self.answer:
                 raise CorpusError(f"sample {self.id}: free-text answer is empty")
+        for name, text in (("report", self.report), ("reasoning", self.reasoning)):
+            if text and not text.strip():  # "" is absent; a blank text has no observations
+                raise CorpusError(f"sample {self.id}: field {name!r} is blank")
         if self.reasoning and not self.report:
             raise CorpusError(
                 f"sample {self.id}: reasoning present without its report"
@@ -296,22 +299,32 @@ def map_in_order(fn: Callable, items: Sequence, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-# `json.dumps(obj, sort_keys=True)` without building an encoder per call
-dumps_sorted = json.JSONEncoder(sort_keys=True).encode
+# `json.dumps(obj, sort_keys=True, allow_nan=False)` without building an
+# encoder per call: NaN and Infinity are not JSON, so they are refused
+dumps_sorted = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     """Write records as JSON Lines, one sorted-key object per line: the
-    serialization of every JSON Lines file radreason writes."""
+    serialization of every JSON Lines file radreason writes. A NaN or
+    Infinity raises ValueError naming the file."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(dumps_sorted(rec) + "\n")
+            try:
+                fh.write(dumps_sorted(rec) + "\n")
+            except ValueError as e:
+                raise ValueError(f"{path}: {e}") from None
 
 
 def write_json(path: str | Path, obj) -> None:
     """Write one JSON document with sorted keys, indent 2 and a final newline:
-    the serialization of every JSON document radreason writes."""
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    the serialization of every JSON document radreason writes. A NaN or
+    Infinity raises ValueError naming the file, which is not written."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def load_corpus(path: str | Path) -> Corpus:

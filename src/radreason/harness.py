@@ -267,12 +267,11 @@ def cmd_mine(
     matcher,
     out_dir: str | Path,
     seed: int = 0,
-    threshold: float = 1.0,
     workers: int = 1,
 ) -> tuple[BenchmarkBundle, int]:
     """Full pipeline: mine, then the compile tail of `cmd_compile`."""
     chains, rejections = mine_corpus(corpus, client, matcher, workers=workers)
-    return cmd_compile(corpus, chains, out_dir, seed, threshold, rejections)
+    return cmd_compile(corpus, chains, out_dir, seed, rejections)
 
 
 def cmd_compile(
@@ -280,11 +279,10 @@ def cmd_compile(
     chains: Sequence[MinedChain],
     out_dir: str | Path,
     seed: int = 0,
-    threshold: float = 1.0,
     rejections: Sequence[Rejection] = (),
 ) -> tuple[BenchmarkBundle, int]:
-    """Factuality filter -> balance -> compile. A chain whose sample id is
-    not in the corpus raises ValueError. Writes the benchmark files,
+    """Factuality filter (r_f = 1) -> balance -> compile. A chain whose
+    sample id is not in the corpus raises ValueError. Writes the benchmark files,
     the kept chains (`chains.jsonl`) and every rejection, the given ones and
     the filter's (`rejections.jsonl`); returns the bundle and the number of
     rejections."""
@@ -293,14 +291,12 @@ def cmd_compile(
     for c in chains:
         if c.sample_id not in corpus_ids:
             raise ValueError(f"chain references unknown sample id {c.sample_id!r}")
-    kept, filtered = filter_by_factuality(chains, threshold=threshold)
+    kept, filtered = filter_by_factuality(chains)
     rejections = sorted([*rejections, *filtered], key=lambda r: (r.sample_id, r.stage))
     balanced = balance(corpus, seed=seed)
     kept_ids = {s.id for s in balanced.samples}
     kept = [c for c in kept if c.sample_id in kept_ids]
-    bundle = compile_benchmark(
-        balanced, kept, out_dir, seed=seed, threshold=threshold
-    )
+    bundle = compile_benchmark(balanced, kept, out_dir, seed=seed)
     # a chain's fields, its steps' fields under "steps" (`dataclasses.asdict`
     # would deep-copy every value: about 13 ms of a `mine` call)
     write_jsonl(
@@ -333,8 +329,9 @@ def cmd_train_toy(
         "grpo": vars(grpo_cfg),
         "seed": grpo_cfg.seed,
     }
+    # stats first: a non-finite figure is refused before a checkpoint is saved
+    write_jsonl(out_dir / "stats.jsonl", map(vars, stats))
     checkpoint = out_dir / "checkpoint.npz"
     save_checkpoint(trained, checkpoint, config_hash=config_hash(cfg_dict))
-    write_jsonl(out_dir / "stats.jsonl", map(vars, stats))
     write_manifest(out_dir, cfg_dict, grpo_cfg.seed)
     return checkpoint

@@ -9,6 +9,7 @@ completion (backend or cache) aborts the batch.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -29,8 +30,13 @@ from .core import (
     write_jsonl,
 )
 from .llm import CompletionClient, CompletionRequest, render_template
-from .observations import ExtractionError, MatchError, Role
-from .scoring import factuality
+from .observations import ExtractionError, MatchError
+from .scoring import report_factuality
+
+
+# the paper's filter: a chain is kept only when it is fully grounded in its
+# report (r_f = 1), under the same rule as the process reward
+FACTUALITY_THRESHOLD = 1.0
 
 
 class MiningError(RuntimeError):
@@ -65,15 +71,7 @@ class MinedChain:
 
     @classmethod
     def from_record(cls, rec: dict) -> "MinedChain":
-        steps = tuple(
-            EvidenceStep(
-                goal=s["goal"],
-                order=s["order"],
-                evidence=s["evidence"],
-                inferred=s["inferred"],
-            )
-            for s in rec["steps"]
-        )
+        steps = tuple(EvidenceStep(**{f: s[f] for f in _STEP_FIELDS}) for s in rec["steps"])
         return cls(
             sample_id=rec["sample_id"],
             steps=steps,
@@ -153,8 +151,6 @@ def extract_evidence(
 ) -> EvidenceStep:
     """Step 2: evidence from the report for plan goal number `order`, or an
     inferred 'normal'/'no disease'."""
-    if not report.strip():
-        raise ValueError("report text must be non-empty")
     request = render_template("evidence", goal=goal, report=report)
     raw = client.complete(request).strip()
     inferred = raw.lower().strip(".\"' ") in _INFERRED_FORMS
@@ -177,9 +173,7 @@ def refine_chain(
         raise MiningError(
             sample.id, "refine", "narrative conclusion contradicts the answer"
         )
-    obs_narr = matcher.extract(narrative, Role.MODEL)
-    obs_report = matcher.extract(sample.report, Role.REPORT)
-    r_f = factuality(obs_narr, obs_report, matcher).value
+    r_f = report_factuality(narrative, sample.report, matcher).value
     return MinedChain(
         sample_id=sample.id, steps=tuple(steps), narrative=narrative, r_f=r_f
     )
@@ -228,7 +222,7 @@ def mine_corpus(
 
 
 def filter_by_factuality(
-    chains: list[MinedChain], threshold: float = 1.0
+    chains: list[MinedChain], threshold: float = FACTUALITY_THRESHOLD
 ) -> tuple[list[MinedChain], list[Rejection]]:
     """Keep exactly the chains with r_f >= threshold (default: perfect)."""
     kept, rejected = [], []
@@ -236,9 +230,7 @@ def filter_by_factuality(
         if c.r_f >= threshold:
             kept.append(c)
         else:
-            rejected.append(
-                Rejection(c.sample_id, "factuality_filter", f"r_f={c.r_f:.4f}")
-            )
+            rejected.append(Rejection(c.sample_id, "factuality_filter", f"r_f={c.r_f:.4f}"))
     return kept, rejected
 
 
@@ -284,7 +276,6 @@ def compile_benchmark(
     chains: list[MinedChain],
     out_dir: str | Path,
     seed: int = 0,
-    threshold: float = 1.0,
 ) -> BenchmarkBundle:
     """Emit answer-only and reasoning-augmented record files per split plus a
     manifest. Surviving chains attach their narrative as the sample's
@@ -300,12 +291,8 @@ def compile_benchmark(
         chain_for[c.sample_id] = c
 
     buckets: dict[tuple[str, str], list[dict]] = {
-        (split, part): []
-        for split in ("train", "test")
-        for part in ("R", "A")
+        (split, part): [] for split in ("train", "test") for part in ("R", "A")
     }
-    task_counts: dict[str, int] = {}
-    source_counts: dict[str, int] = {}
     part_counts = {"reasoning_augmented": 0, "answer_only": 0}
     for s in corpus.samples:
         chain = chain_for.get(s.id)
@@ -317,10 +304,8 @@ def compile_benchmark(
             part = "answer_only"
         buckets[(s.split, _PARTITION_SUFFIX[part])].append(rec)
         part_counts[part] += 1
-        task_counts[s.task.value] = task_counts.get(s.task.value, 0) + 1
-        source_counts[s.source or "unknown"] = (
-            source_counts.get(s.source or "unknown", 0) + 1
-        )
+    task_counts = Counter(s.task.value for s in corpus.samples)
+    source_counts = Counter(s.source or "unknown" for s in corpus.samples)
 
     for (split, part), records in buckets.items():
         records.sort(key=lambda r: r["id"])
@@ -337,7 +322,7 @@ def compile_benchmark(
                 for (split, part), records in sorted(buckets.items())
             },
         },
-        "factuality_threshold": threshold,
+        "factuality_threshold": FACTUALITY_THRESHOLD,
         "balancing": "seeded uniform down-sampling, max label count <= 2x min",
         "label_scheme": "per-combination (full option combination is the label)",
         "seed": seed,

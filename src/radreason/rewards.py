@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import CLOSE_ENDED_TASKS, PartitionTag, VqaSample
-from .observations import LexicalMatcher, Role
-from .scoring import factuality
+from .observations import LexicalMatcher
+from .scoring import entity_f1, report_factuality
 from .tags import TaggedOutput, parse_tags
 
 
@@ -52,22 +52,6 @@ def _match_close_ended(answer_text: str, sample: VqaSample) -> float:
     return 0.0
 
 
-def entity_f1(prediction: str, reference: str, matcher) -> float:
-    """Entity-level F1 between two free-text answers under `matcher`; the
-    desk-scale stand-in for an external report-similarity scorer."""
-    if not prediction.strip() or not reference.strip():
-        return 0.0
-    pred = matcher.extract(prediction, Role.MODEL)
-    ref = matcher.extract(reference, Role.GROUND_TRUTH)
-    if len(pred) == 0 or len(ref) == 0:
-        return 0.0
-    precision = len(matcher.partition(pred, ref)[0]) / len(pred)
-    recall = len(matcher.partition(ref, pred)[0]) / len(ref)
-    if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
-
-
 def outcome_reward(tagged: TaggedOutput, sample: VqaSample, matcher) -> float:
     """Exact label match for close-ended tasks; `entity_f1` under `matcher`
     for open-ended generation. Missing answer tag scores 0."""
@@ -88,9 +72,7 @@ def process_reward(tagged: TaggedOutput, sample: VqaSample, matcher) -> float:
     think = tagged.think if tagged.think is not None else ""
     if not think.strip():
         return 0.0
-    obs_model = matcher.extract(think, Role.MODEL)
-    obs_report = matcher.extract(sample.report, Role.REPORT)
-    return factuality(obs_model, obs_report, matcher).value
+    return report_factuality(think, sample.report, matcher).value
 
 
 @dataclass

@@ -2,7 +2,8 @@
 
 Each dimension is a proportion of the left operand's observations matched in
 a reference set; factuality additionally credits unmatched observations that
-assert normality (reports often omit normal findings).
+assert normality (reports often omit normal findings). This is the one module
+that asks a matcher for observations and matches.
 """
 
 from __future__ import annotations
@@ -72,6 +73,30 @@ def effectiveness(
     matched = len(matcher.partition(obs_model, obs_gt)[0])
     value, degenerate = _ratio(matched, len(obs_model))
     return RatioResult(value, matched, len(obs_model), 0, degenerate)
+
+
+def report_factuality(text: str, report: str, matcher) -> RatioResult:
+    """Factuality of `text` against a report: the grounding rule of both the
+    process reward and the mining filter. `text` is extracted first."""
+    obs_text = matcher.extract(text, Role.MODEL)
+    obs_report = matcher.extract(report, Role.REPORT)
+    return factuality(obs_text, obs_report, matcher)
+
+
+def entity_f1(prediction: str, reference: str, matcher) -> float:
+    """Entity-level F1 between two free-text answers under `matcher`, from
+    the prediction's effectiveness and the reference's completeness (0 for
+    an empty side); the desk-scale stand-in for an external
+    report-similarity scorer."""
+    if not prediction.strip() or not reference.strip():
+        return 0.0
+    pred = matcher.extract(prediction, Role.MODEL)
+    ref = matcher.extract(reference, Role.GROUND_TRUTH)
+    precision = effectiveness(pred, ref, matcher).value
+    recall = completeness(ref, pred, matcher).value
+    if precision + recall == 0:
+        return 0.0
+    return 2 * precision * recall / (precision + recall)
 
 
 def combine(rf: RatioResult, rc: RatioResult, re_: RatioResult) -> ReasoningScores:

@@ -5,6 +5,7 @@ import io
 import json
 import operator
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,32 @@ def test_counts_below_one_refused_by_parser(argv, flag, capsys):
 def test_counts_of_one_accepted_by_parser():
     args = build_parser().parse_args(["--workers", "1", "eval", "s", "--resamples", "1"])
     assert (args.workers, args.resamples) == (1, 1)
+
+
+@pytest.mark.parametrize("command", [
+    ["mine", "corpus.jsonl", "--out", "run"],
+    ["compile-bench", "corpus.jsonl", "chains.jsonl", "--out", "run"],
+    ["eval", "scores.jsonl"],
+    ["train-toy", "corpus.jsonl", "--preset", "full", "--out", "run"],
+])
+def test_negative_seed_refused_by_parser(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["--seed", "-1", *command])
+    assert exc.value.code == 2
+    assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
+    assert build_parser().parse_args(["--seed", "0", *command]).seed == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["mine", "corpus.jsonl", "--out", "run"],
+    ["compile-bench", "corpus.jsonl", "chains.jsonl", "--out", "run"],
+])
+def test_threshold_is_not_an_option(command, capsys):
+    # the mining filter keeps r_f = 1 chains, a constant of the method
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([*command, "--threshold", "0.5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threshold 0.5" in capsys.readouterr().err
 
 
 def test_missing_config_is_fatal(tmp_path, data_dir):
@@ -206,6 +233,23 @@ def test_train_toy_unknown_config_key_is_fatal(tmp_path, data_dir, section, caps
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: config: ") and "'momentum'" in err
+
+
+def test_train_toy_refuses_non_finite_stats(tmp_path, capsys):
+    # a learning rate of 1e308 overflows the policy and its KL: Infinity is
+    # not JSON, so the run fails on stats.jsonl before saving a checkpoint
+    corpus, config, run = tmp_path / "toy.jsonl", tmp_path / "config.json", tmp_path / "run"
+    save_corpus(make_toy_corpus(), corpus)
+    config.write_text(json.dumps({"grpo": {"steps": 1, "learning_rate": 1e308}}),
+                      encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # NumPy's overflow warnings
+        rc = main(["--config", str(config), "train-toy", str(corpus), "--preset", "rl_o",
+                   "--out", str(run)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {run / 'stats.jsonl'}: Out of range float values are not JSON compliant")
+    assert not (run / "checkpoint.npz").exists()
 
 
 def test_score_then_eval_round_trip(tmp_path, data_dir, mock_config, capsys):
@@ -424,6 +468,10 @@ _MALFORMED = [
                  "field 'answer' is not a string", id="corpus-null-answer"),
     pytest.param("fixture", json.dumps({**_REQUEST, "response": 5}).encode(),
                  "field 'response' is not a string", id="fixture-non-string-response"),
+    # a blank text has no observations: `score` could not extract them
+    *[pytest.param("corpus", json.dumps({**_SAMPLE, "report": "E.", field: " \t"}).encode(),
+                   f"sample s: field {field!r} is blank", id=f"corpus-blank-{field}")
+      for field in ("report", "reasoning")],
     pytest.param("corpus", json.dumps({**_SAMPLE, "question": "q\ud800"}).encode(),
                  "field 'question' holds a lone surrogate", id="corpus-lone-surrogate"),
     *[pytest.param("outputs", json.dumps(rec).encode(), reason, id=f"outputs-{name}")

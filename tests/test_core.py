@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -20,6 +21,8 @@ from radreason.core import (
     sample_from_record,
     sample_to_record,
     save_corpus,
+    write_json,
+    write_jsonl,
 )
 
 
@@ -75,6 +78,13 @@ class TestValidation:
     def test_reasoning_without_report_rejected(self):
         with pytest.raises(CorpusError, match="report"):
             make_sample(reasoning="effusion").validate()
+
+    @pytest.mark.parametrize("field, other", [("report", "reasoning"), ("reasoning", "report")])
+    def test_blank_report_or_reasoning_rejected(self, field, other):
+        # a blank text has no observations to extract; "" is an absent one
+        sample = make_sample(**{field: " \n\t", other: "Effusion."})
+        with pytest.raises(CorpusError, match=f"sample s1: field '{field}' is blank"):
+            sample.validate()
 
 
 class TestPartition:
@@ -133,6 +143,16 @@ class TestSerialization:
         path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="question"):
             load_corpus(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_writers_refuse_non_finite_numbers(self, tmp_path, value):
+        # NaN and Infinity are not JSON: the error names the file
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: Out of range float"):
+            write_json(path, {"x": value})
+        assert not path.exists()
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}l: Out of range float"):
+            write_jsonl(f"{path}l", [{"x": 1.0}, {"x": value}])
 
     def test_load_rejects_unknown_task(self, tmp_path):
         path = tmp_path / "c.jsonl"

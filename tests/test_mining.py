@@ -29,9 +29,12 @@ from radreason.mining import (
     mine_corpus,
     mine_sample,
     plan_request,
+    refine_chain,
     refine_request,
 )
 from radreason.observations import LlmMatcher
+from radreason.rewards import process_reward
+from radreason.tags import parse_tags
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +170,36 @@ class TestMineCorpus:
 
 
 class TestFactualityFilter:
+    @pytest.mark.parametrize("matcher_name", ["matcher", "plain_matcher"])
+    def test_r_f_is_the_process_reward_of_the_narrative(
+        self, fixture_corpus, mock_client, matcher_name, request
+    ):
+        # one grounding rule: a mined chain's r_f is what GRPO's process
+        # reward pays for its narrative as the think
+        matcher = request.getfixturevalue(matcher_name)
+        samples = {s.id: s for s in fixture_corpus.samples}
+        chains, _ = mine_corpus(fixture_corpus, mock_client, matcher)
+        assert chains and any(c.r_f < 1.0 for c in chains)
+        for c in chains:
+            sample = samples[c.sample_id]
+            tagged = parse_tags(f"<think>{c.narrative}</think><answer>{sample.answer}</answer>")
+            assert c.r_f == process_reward(tagged, sample, matcher), c.sample_id
+
+    @pytest.mark.parametrize("narrative", [
+        "No pneumothorax. Small left pleural effusion. So yes.",  # a leniency credit
+        "No pleural effusion. Lungs are clear. So yes.",  # credits against the report
+        "Right pneumothorax. Small left pleural effusion. So yes.",  # one ungrounded
+    ])
+    def test_refined_r_f_is_the_process_reward_with_leniency(
+        self, fixture_samples, matcher, narrative
+    ):
+        sample = fixture_samples["f001"]
+        step = EvidenceStep("Assess for effusion", 0, "small left pleural effusion", False)
+        client = CompletionClient(ByTemplate({"refine": narrative}))
+        chain = refine_chain(sample, [step], client, matcher)
+        tagged = parse_tags(f"<think>{narrative}</think><answer>A</answer>")
+        assert chain.r_f == process_reward(tagged, sample, matcher)
+
     def test_keeps_exactly_perfect_chains(self, fixture_corpus, mock_client, matcher):
         chains, _ = mine_corpus(fixture_corpus, mock_client, matcher)
         kept, rejected = filter_by_factuality(chains)

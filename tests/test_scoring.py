@@ -9,6 +9,7 @@ from radreason.core import Option, TaskType, VqaSample
 from radreason.llm import CompletionClient
 from radreason.observations import (
     ExtractionError,
+    LexicalMatcher,
     LlmMatcher,
     MatchError,
     ObservationSet,
@@ -21,8 +22,10 @@ from radreason.scoring import (
     combine,
     completeness,
     effectiveness,
+    entity_f1,
     factuality,
     model_reasoning_text,
+    report_factuality,
     score_sample,
 )
 from radreason.tags import parse_tags
@@ -137,6 +140,47 @@ class TestScoreSample:
     def test_empty_output_rejected(self, matcher):
         with pytest.raises(ValueError):
             score_sample(make_scorable(), parse_tags(""), matcher)
+
+
+class RecordingMatcher:
+    """A matcher that logs the (text, role) of each extraction it makes."""
+
+    def __init__(self, matcher):
+        self.matcher, self.extracted = matcher, []
+
+    def extract(self, text, role):
+        self.extracted.append((text, role))
+        return self.matcher.extract(text, role)
+
+    def partition(self, left, right):
+        return self.matcher.partition(left, right)
+
+
+class TestReportFactuality:
+    def test_extracts_text_then_report(self, matcher):
+        # an llm matcher's cache records its extractions in this order
+        recording = RecordingMatcher(matcher)
+        result = report_factuality("No pneumothorax. Effusion.", "Effusion.", recording)
+        assert recording.extracted == [("No pneumothorax. Effusion.", Role.MODEL),
+                                       ("Effusion.", Role.REPORT)]
+        assert result == factuality(matcher.extract("No pneumothorax. Effusion.", Role.MODEL),
+                                    matcher.extract("Effusion.", Role.REPORT), matcher)
+        assert (result.value, result.leniency_credits) == (1.0, 1)
+
+
+@given(st.lists(st.sampled_from(["effusion", "edema", "no edema", "atelectasis"]),
+                min_size=1, max_size=4),
+       st.lists(st.sampled_from(["effusion", "edema", "cardiomegaly"]), min_size=1, max_size=4))
+def test_entity_f1_is_the_f1_of_its_partitions(pred_phrases, ref_phrases):
+    # the F1 of the matched shares of each side, computed from the partitions
+    matcher = LexicalMatcher()
+    prediction, reference = ". ".join(pred_phrases), ". ".join(ref_phrases)
+    pred = matcher.extract(prediction, Role.MODEL)
+    ref = matcher.extract(reference, Role.GROUND_TRUTH)
+    precision = len(matcher.partition(pred, ref)[0]) / len(pred)
+    recall = len(matcher.partition(ref, pred)[0]) / len(ref)
+    expected = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+    assert entity_f1(prediction, reference, matcher) == expected
 
 
 PHRASES = [
