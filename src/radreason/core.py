@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -292,9 +292,13 @@ def read_jsonl(
 def map_in_order(fn: Callable, items: Sequence, workers: int) -> list:
     """`fn` of each item, in item order. With `workers` > 1 the calls run on
     that many threads, which overlap only calls that wait, such as requests
-    to a remote backend; the results are the same either way."""
+    to a remote backend; the results are the same either way. The pool is
+    imported here: `concurrent.futures` brings `logging` with it, which a
+    one-worker run does not need."""
     if workers <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -306,14 +310,25 @@ dumps_sorted = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     """Write records as JSON Lines, one sorted-key object per line: the
-    serialization of every JSON Lines file radreason writes. A NaN or
-    Infinity raises ValueError naming the file."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for rec in records:
-            try:
-                fh.write(dumps_sorted(rec) + "\n")
-            except ValueError as e:
-                raise ValueError(f"{path}: {e}") from None
+    serialization of every JSON Lines file radreason writes. The lines go to
+    a sibling temporary file that replaces `path` once every record is
+    written, so a failure leaves `path` as it was; a NaN or Infinity raises
+    ValueError naming the file."""
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            for rec in records:
+                try:
+                    fh.write(dumps_sorted(rec) + "\n")
+                except ValueError as e:
+                    raise ValueError(f"{path}: {e}") from None
+        os.replace(tmp, path)
+    except OSError as e:  # named as the file asked for, not the temporary one
+        tmp.unlink(missing_ok=True)
+        raise type(e)(e.errno, e.strerror, str(path)) from None
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_json(path: str | Path, obj) -> None:

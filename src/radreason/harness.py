@@ -7,7 +7,6 @@ counts.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from operator import itemgetter
@@ -35,12 +34,44 @@ from .scoring import NotScorableError, score_sample
 from .tags import parse_tags
 from .training import SftConfig, make_toy_policy, run_preset, save_checkpoint
 
+try:  # the interpreter's own SHA-256: hashlib's would map OpenSSL (about 3.5 MB)
+    from _sha2 import sha256 as _builtin_sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _builtin_sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _builtin_sha256
+
 EXIT_OK = 0
 EXIT_FATAL = 1
 EXIT_SAMPLE_ERRORS = 2
 
 # most resample indices bootstrap_ci draws at once (0.5 MB of int64)
 _INDEX_CHUNK = 2**16
+# the tails of a 95% interval; alpha is 0.025000000000000022, and the literal
+# 0.025 would move the quantiles in the last bits
+_ALPHA = (1.0 - 0.95) / 2.0
+_TAILS = np.array([_ALPHA, 1.0 - _ALPHA])
+
+
+def _tail_quantiles(rows: np.ndarray) -> np.ndarray:
+    """`np.quantile(row, _TAILS)` for each row of a (k, m) array, which is
+    sorted in place: numpy's "linear" method written out, bit for bit,
+    without the `np.unique` call of `np.quantile` that imports `numpy.ma`."""
+    rows.sort(axis=1)
+    m = rows.shape[1]
+    virtual = (m - 1) * _TAILS
+    # at or past the last index numpy takes the last value, from index -1
+    last = virtual >= m - 1
+    below = np.where(last, -1, np.floor(virtual)).astype(np.intp)
+    above = np.where(last, -1, below + 1)
+    gamma = virtual - below
+    a, b = rows[:, below], rows[:, above]
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    # a row holding NaN sorts it last, and that NaN is the row's result
+    return np.where(np.isnan(rows[:, -1:]), rows[:, -1:], out)
 
 
 def bootstrap_ci(
@@ -70,20 +101,13 @@ def bootstrap_ci(
         idx = rng.integers(0, n, size=(min(chunk, resamples - start), n))
         for k, col in enumerate(cols):
             means[k, start : start + len(idx)] = col[idx].mean(axis=1)
-    # the tail of a 95% interval, 0.025000000000000022: the literal 0.025
-    # would move the quantiles in the last bits
-    alpha = (1.0 - 0.95) / 2.0
-    intervals = []
-    for col_means in means:
-        low, high = np.quantile(col_means, [alpha, 1.0 - alpha])
-        intervals.append((float(low), float(high)))
+    intervals = [(float(low), float(high)) for low, high in _tail_quantiles(means)]
     return intervals if table.ndim > 1 else intervals[0]
 
 
 def config_hash(config: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(config, sort_keys=True, default=str).encode("utf-8")
-    ).hexdigest()[:16]
+    payload = json.dumps(config, sort_keys=True, default=str).encode("utf-8")
+    return _builtin_sha256(payload).hexdigest()[:16]
 
 
 def write_manifest(out_dir: Path, config: dict, seed: int, matcher=None) -> None:

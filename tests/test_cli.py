@@ -4,7 +4,10 @@ import hashlib
 import io
 import json
 import operator
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import radreason
 from radreason.cli import build_parser, main
 from radreason.core import save_corpus, write_jsonl
 from radreason.training import make_toy_corpus
@@ -250,6 +254,7 @@ def test_train_toy_refuses_non_finite_stats(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         f"error: {run / 'stats.jsonl'}: Out of range float values are not JSON compliant")
     assert not (run / "checkpoint.npz").exists()
+    assert not any(run.iterdir())  # no partial stats.jsonl either
 
 
 def test_score_then_eval_round_trip(tmp_path, data_dir, mock_config, capsys):
@@ -292,6 +297,59 @@ def test_score_then_eval_round_trip(tmp_path, data_dir, mock_config, capsys):
     report = json.loads(report_path.read_text(encoding="utf-8"))
     assert report["rows"]["overall_samples"]["radrscore"]["mean"] == 1.0
     assert report["ci_method"] == "percentile bootstrap, 100 resamples"
+
+
+# run in a fresh interpreter: which watched modules the commands so far have
+# loaded, counted from after `import numpy`, whose own imports none can avoid
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import numpy
+start = set(sys.modules)
+from radreason.cli import main
+loaded = {}
+for name, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    watched = {"_hashlib", "concurrent.futures", "numpy.ma"}
+    loaded[name] = [rc, sorted((set(sys.modules) - start) & watched)]
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_load_only_what_they_run(tmp_path, data_dir, mock_config, capsys):
+    # OpenSSL (`_hashlib`), the thread pool and numpy.ma cost a process
+    # 0.6-3.7 MB each: score and train-toy need none of them, eval no numpy.ma
+    bench = tmp_path / "bench"
+    main(["--config", mock_config, "mine", str(data_dir / "fixture_corpus.jsonl"),
+          "--out", str(bench)])
+    capsys.readouterr()
+    outputs, config = tmp_path / "outputs.jsonl", tmp_path / "config.json"
+    outputs.write_text("".join(
+        json.dumps({"id": r["id"], "output": f"<think>{r['reasoning']}</think>"
+                                             f"<answer>{r['answer']}</answer>"}) + "\n"
+        for r in _read_records(bench / "train_R.jsonl")), encoding="utf-8")
+    config.write_text('{"sft": {"steps": 2}, "grpo": {"steps": 2}}', encoding="utf-8")
+    steps = [
+        ("score", ["score", str(bench / "train_R.jsonl"), str(outputs),
+                   "--out", str(tmp_path / "scores.jsonl")]),
+        ("train-toy", ["--config", str(config), "train-toy", str(bench / "train_R.jsonl"),
+                       "--preset", "full", "--out", str(tmp_path / "run")]),
+        ("eval", ["eval", str(tmp_path / "scores.jsonl"), "--resamples", "100"]),
+    ]
+    src = Path(radreason.__file__).parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(steps)],
+        capture_output=True, text=True, timeout=60, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    loaded = json.loads(done.stdout)
+    assert loaded["score"] == [0, []]
+    assert loaded["train-toy"] == [0, []]
+    # eval maps OpenSSL through numpy.random; where `import numpy` loads
+    # numpy.ma itself (numpy < 2) it is never counted, so this holds there too
+    assert loaded["eval"][0] == 0
+    assert "numpy.ma" not in loaded["eval"][1]
 
 
 BUNDLE_FILES = (

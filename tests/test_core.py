@@ -154,6 +154,29 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}l: Out of range float"):
             write_jsonl(f"{path}l", [{"x": 1.0}, {"x": value}])
 
+    def test_refused_record_leaves_files_as_they_were(self, tmp_path):
+        # the lines go to a temporary file that replaces the target only
+        # once every record is written: no new file, an old one untouched
+        new, old = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
+        write_jsonl(old, [{"x": 1.0}])
+        before = old.read_bytes()
+        for path in (new, old):
+            with pytest.raises(ValueError, match="Out of range float"):
+                write_jsonl(path, [{"x": 2.0}, {"x": float("nan")}])
+        assert not new.exists()
+        assert old.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.jsonl"]
+        write_jsonl(old, [{"x": 2.0}])
+        assert old.read_text(encoding="utf-8") == '{"x": 2.0}\n'
+
+    def test_write_error_names_the_target(self, tmp_path):
+        # not the temporary file the lines go to first
+        for path, error in ((tmp_path / "missing" / "x.jsonl", FileNotFoundError),
+                            (tmp_path, IsADirectoryError)):
+            with pytest.raises(error, match=f"{re.escape(repr(str(path)))}$"):
+                write_jsonl(path, [{"x": 1.0}])
+        assert sorted(tmp_path.parent.glob("*.tmp")) == []
+
     def test_load_rejects_unknown_task(self, tmp_path):
         path = tmp_path / "c.jsonl"
         rec = sample_to_record(make_sample())

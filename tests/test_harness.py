@@ -1,6 +1,8 @@
+import hashlib
 import json
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,10 +86,73 @@ class TestBootstrapCi:
         assert low <= float(np.mean(values)) <= high
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 3000),
+        st.integers(1, 300),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from(["uniform", "binary", "constant"]), min_size=1, max_size=3),
+    )
+    def test_equals_the_np_quantile_reference(self, n, resamples, seed, kinds):
+        # the percentiles are taken from sorted resample means with numpy's
+        # "linear" interpolation written out: equal to np.quantile, bit for bit
+        rng = np.random.default_rng(seed)
+        columns = {
+            "uniform": lambda: rng.uniform(size=n),
+            "binary": lambda: rng.integers(0, 2, size=n).astype(float),
+            "constant": lambda: np.full(n, rng.uniform()),
+        }
+        table = np.column_stack([columns[kind]() for kind in kinds])
+        idx = np.random.default_rng(seed).integers(0, n, size=(resamples, n))
+        alpha = (1.0 - 0.95) / 2.0
+        expected = [
+            tuple(map(float, np.quantile(col[idx].mean(axis=1), [alpha, 1.0 - alpha])))
+            for col in table.T
+        ]
+        assert bootstrap_ci(table, resamples=resamples, seed=seed) == expected
+        assert bootstrap_ci(table[:, 0], resamples=resamples, seed=seed) == expected[0]
+
+    def test_tail_quantiles_equal_np_quantile(self):
+        # rows of every length from 1 to 60 and some long ones, with ties and NaN
+        rng = np.random.default_rng(23)
+        alpha = (1.0 - 0.95) / 2.0
+        for m in [*range(1, 61), 999, 1000, 1001, 4000]:
+            rows = rng.uniform(size=(12, m))
+            rows[1] = rows[1, 0]
+            rows[2] = np.round(rows[2], 1)
+            rows[3, m // 2] = np.nan
+            rows[4] *= 1e300
+            expected = np.quantile(rows, [alpha, 1.0 - alpha], axis=1).T
+            got = harness._tail_quantiles(rows.copy())
+            assert np.array_equal(got, expected, equal_nan=True), m
+
+
 def test_config_hash_is_stable_and_order_free():
     assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
     assert config_hash({"a": 1}) != config_hash({"a": 2})
     assert len(config_hash({})) == 16
+
+
+def test_config_hash_is_pinned():
+    # a value JSON cannot hold is hashed as its str()
+    config = {"preset": "full", "seed": 3, "sft": {"learning_rate": 0.5, "steps": 25},
+              "out": Path("run"), "note": "pleural effusion — épanchement"}
+    assert config_hash(config) == "856ca0153b7f305e"
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(), _JSON, max_size=5))
+def test_config_hash_is_hashlib_sha256(config):
+    # the interpreter's own SHA-256 gives hashlib's digest
+    payload = json.dumps(config, sort_keys=True, default=str).encode("utf-8")
+    assert config_hash(config) == hashlib.sha256(payload).hexdigest()[:16]
 
 
 def test_write_manifest_records_versions(tmp_path, matcher):
