@@ -8,13 +8,13 @@ completion (backend or cache) aborts the batch.
 
 from __future__ import annotations
 
+import random
 import re
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
-
-import numpy as np
 
 from .core import (
     Corpus,
@@ -237,7 +237,11 @@ def filter_by_factuality(
 def balance(corpus: Corpus, seed: int = 0) -> Corpus:
     """Seeded uniform down-sampling until the most frequent disease label
     (`label_by_answer`) does not exceed twice the least frequent; the
-    minimum class is never touched."""
+    minimum class is never touched. Each label over the cap, in sorted label
+    order, draws one `random.Random(seed).random()` key per sample in corpus
+    order and keeps the samples with the `cap` smallest keys: Python keeps
+    that stream fixed across versions, so the kept subset depends on the
+    seed alone."""
     ids_by_label: dict[str, list[str]] = {}
     for s in corpus.samples:
         ids_by_label.setdefault(label_by_answer(s), []).append(s.id)
@@ -247,13 +251,13 @@ def balance(corpus: Corpus, seed: int = 0) -> Corpus:
             + ", ".join(repr(k) for k in ids_by_label)
         )
     cap = 2 * min(map(len, ids_by_label.values()))
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     keep_ids: set[str] = set()
     for label in sorted(ids_by_label):
         ids = ids_by_label[label]
         if len(ids) > cap:
-            picked = rng.choice(len(ids), size=cap, replace=False)
-            ids = [ids[i] for i in sorted(picked)]
+            keys = {i: rng.random() for i in ids}
+            ids = sorted(ids, key=keys.__getitem__)[:cap]
         keep_ids.update(ids)
     kept = tuple(s for s in corpus.samples if s.id in keep_ids)
     return Corpus(kept)
@@ -268,9 +272,6 @@ class BenchmarkBundle:
         return self.directory / f"{split}_{partition}.jsonl"
 
 
-_PARTITION_SUFFIX = {"reasoning_augmented": "R", "answer_only": "A"}
-
-
 def compile_benchmark(
     corpus: Corpus,
     chains: list[MinedChain],
@@ -280,46 +281,40 @@ def compile_benchmark(
     """Emit answer-only and reasoning-augmented record files per split plus a
     manifest. Surviving chains attach their narrative as the sample's
     reasoning; all other samples are emitted answer-only (report dropped, per
-    the partition definition)."""
+    the partition definition). Chains for samples outside `corpus` are
+    ignored. Each file is written from a generator over the samples in id
+    order, so no record outlives its line."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    by_id = {s.id: s for s in corpus.samples}
-    chain_for: dict[str, MinedChain] = {}
-    for c in chains:
-        if c.sample_id not in by_id:
-            raise CorpusError(f"chain references unknown sample id {c.sample_id!r}")
-        chain_for[c.sample_id] = c
-
-    buckets: dict[tuple[str, str], list[dict]] = {
-        (split, part): [] for split in ("train", "test") for part in ("R", "A")
-    }
-    part_counts = {"reasoning_augmented": 0, "answer_only": 0}
-    for s in corpus.samples:
-        chain = chain_for.get(s.id)
-        if chain is not None:
-            rec = sample_to_record(s, reasoning=chain.narrative)
-            part = "reasoning_augmented"
-        else:
-            rec = sample_to_record(s, report="", reasoning="")
-            part = "answer_only"
-        buckets[(s.split, _PARTITION_SUFFIX[part])].append(rec)
-        part_counts[part] += 1
+    narrative = {c.sample_id: c.narrative for c in chains}
+    samples = sorted(corpus.samples, key=attrgetter("id"))
+    for split in ("train", "test"):
+        write_jsonl(out_dir / f"{split}_R.jsonl", (
+            sample_to_record(s, reasoning=narrative[s.id])
+            for s in samples if s.split == split and s.id in narrative
+        ))
+        write_jsonl(out_dir / f"{split}_A.jsonl", (
+            sample_to_record(s, report="", reasoning="")
+            for s in samples if s.split == split and s.id not in narrative
+        ))
+    file_counts = Counter(
+        f"{s.split}_{'R' if s.id in narrative else 'A'}" for s in corpus.samples
+    )
+    augmented = file_counts["train_R"] + file_counts["test_R"]
     task_counts = Counter(s.task.value for s in corpus.samples)
     source_counts = Counter(s.source or "unknown" for s in corpus.samples)
-
-    for (split, part), records in buckets.items():
-        records.sort(key=lambda r: r["id"])
-        write_jsonl(out_dir / f"{split}_{part}.jsonl", records)
 
     manifest = {
         "counts": {
             "total": len(corpus),
-            "per_partition": part_counts,
+            "per_partition": {
+                "reasoning_augmented": augmented,
+                "answer_only": len(corpus) - augmented,
+            },
             "per_task": dict(sorted(task_counts.items())),
             "per_source": dict(sorted(source_counts.items())),
             "per_file": {
-                f"{split}_{part}": len(records)
-                for (split, part), records in sorted(buckets.items())
+                name: file_counts[name] for name in ("test_A", "test_R", "train_A", "train_R")
             },
         },
         "factuality_threshold": FACTUALITY_THRESHOLD,

@@ -310,30 +310,35 @@ loaded = {}
 for name, argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         rc = main(argv)
-    watched = {"_hashlib", "concurrent.futures", "numpy.ma"}
+    watched = {"_hashlib", "concurrent.futures", "numpy.ma", "numpy.random"}
     loaded[name] = [rc, sorted((set(sys.modules) - start) & watched)]
 print(json.dumps(loaded))
 """
 
 
 def test_commands_load_only_what_they_run(tmp_path, data_dir, mock_config, capsys):
-    # OpenSSL (`_hashlib`), the thread pool and numpy.ma cost a process
-    # 0.6-3.7 MB each: score and train-toy need none of them, eval no numpy.ma
+    # OpenSSL (`_hashlib`), the thread pool, numpy.ma and numpy.random cost a
+    # process 0.6-3.7 MB each: compile-bench, score and train-toy need none of
+    # them, mine only OpenSSL for its request keys, eval no numpy.ma
+    corpus = str(data_dir / "fixture_corpus.jsonl")
     bench = tmp_path / "bench"
-    main(["--config", mock_config, "mine", str(data_dir / "fixture_corpus.jsonl"),
-          "--out", str(bench)])
+    main(["--config", mock_config, "mine", corpus, "--out", str(bench)])
     capsys.readouterr()
-    outputs, config = tmp_path / "outputs.jsonl", tmp_path / "config.json"
+    outputs, config = tmp_path / "outputs.jsonl", tmp_path / "train_config.json"
     outputs.write_text("".join(
         json.dumps({"id": r["id"], "output": f"<think>{r['reasoning']}</think>"
                                              f"<answer>{r['answer']}</answer>"}) + "\n"
         for r in _read_records(bench / "train_R.jsonl")), encoding="utf-8")
     config.write_text('{"sft": {"steps": 2}, "grpo": {"steps": 2}}', encoding="utf-8")
+    # the probe counts from its start, so each command adds to the ones before
     steps = [
+        ("compile-bench", ["compile-bench", corpus, str(bench / "chains.jsonl"),
+                           "--out", str(tmp_path / "compiled")]),
         ("score", ["score", str(bench / "train_R.jsonl"), str(outputs),
                    "--out", str(tmp_path / "scores.jsonl")]),
         ("train-toy", ["--config", str(config), "train-toy", str(bench / "train_R.jsonl"),
                        "--preset", "full", "--out", str(tmp_path / "run")]),
+        ("mine", ["--config", mock_config, "mine", corpus, "--out", str(tmp_path / "mined")]),
         ("eval", ["eval", str(tmp_path / "scores.jsonl"), "--resamples", "100"]),
     ]
     src = Path(radreason.__file__).parents[1]
@@ -344,8 +349,13 @@ def test_commands_load_only_what_they_run(tmp_path, data_dir, mock_config, capsy
         env={**os.environ, "PYTHONPATH": path},
     )
     loaded = json.loads(done.stdout)
+    assert loaded["compile-bench"] == [0, []]
     assert loaded["score"] == [0, []]
     assert loaded["train-toy"] == [0, []]
+    # the fixtures' two rejections; mine adds at most OpenSSL for its request
+    # keys, which numpy < 2 has already loaded through numpy.random
+    assert loaded["mine"][0] == 2
+    assert set(loaded["mine"][1]) <= {"_hashlib"}
     # eval maps OpenSSL through numpy.random; where `import numpy` loads
     # numpy.ma itself (numpy < 2) it is never counted, so this holds there too
     assert loaded["eval"][0] == 0

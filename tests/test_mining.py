@@ -250,6 +250,15 @@ class TestBalance:
         b = balance(corpus, seed=3)
         assert [s.id for s in a.samples] == [s.id for s in b.samples]
 
+    def test_draw_is_pinned(self):
+        # random.Random(3)'s keys for the nine edema ids; a change of the draw
+        # moves every down-sampled bundle, so it has to change this literal too
+        kept = balance(label_corpus({"edema": 9, "fracture": 2}), seed=3)
+        assert [s.id for s in kept.samples] == [
+            "edema_000", "edema_005", "edema_006", "edema_008",
+            "fracture_000", "fracture_001",
+        ]
+
     def test_single_label_rejected(self):
         with pytest.raises(CorpusError, match="two disease labels"):
             balance(label_corpus({"edema": 5}))
@@ -293,8 +302,3 @@ class TestCompileBenchmark:
             .splitlines()
         ]
         assert ids == sorted(ids)
-
-    def test_dangling_chain_id_rejected(self, fixture_corpus, tmp_path):
-        ghost = MinedChain("nope", (), "narrative", r_f=1.0)
-        with pytest.raises(CorpusError, match="unknown sample id"):
-            compile_benchmark(fixture_corpus, [ghost], tmp_path)
