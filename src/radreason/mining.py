@@ -221,13 +221,11 @@ def mine_corpus(
     return chains, rejections
 
 
-def filter_by_factuality(
-    chains: list[MinedChain], threshold: float = FACTUALITY_THRESHOLD
-) -> tuple[list[MinedChain], list[Rejection]]:
-    """Keep exactly the chains with r_f >= threshold (default: perfect)."""
+def filter_by_factuality(chains: list[MinedChain]) -> tuple[list[MinedChain], list[Rejection]]:
+    """Keep exactly the chains with r_f >= FACTUALITY_THRESHOLD (perfect)."""
     kept, rejected = [], []
     for c in chains:
-        if c.r_f >= threshold:
+        if c.r_f >= FACTUALITY_THRESHOLD:
             kept.append(c)
         else:
             rejected.append(Rejection(c.sample_id, "factuality_filter", f"r_f={c.r_f:.4f}"))

@@ -382,7 +382,7 @@ def test_criterion_10_mining_rules():
         n = int(rng.integers(0, 40))
         values = rng.choice([0.0, 0.25, 0.5, 0.9999, 1.0], size=n)
         chains = [MinedChain(f"c{i:03d}", (), "n", float(v)) for i, v in enumerate(values)]
-        kept, rejected = filter_by_factuality(chains, threshold=1.0)
+        kept, rejected = filter_by_factuality(chains)
         assert {c.sample_id for c in kept} == {
             c.sample_id for c in chains if c.r_f >= 1.0
         }

@@ -321,8 +321,8 @@ def test_commands_load_only_what_they_run(tmp_path, data_dir, mock_config, capsy
     # process 0.6-3.7 MB each: compile-bench, score and train-toy need none of
     # them, mine only OpenSSL for its request keys, eval no numpy.ma
     corpus = str(data_dir / "fixture_corpus.jsonl")
-    bench = tmp_path / "bench"
-    main(["--config", mock_config, "mine", corpus, "--out", str(bench)])
+    _record(tmp_path, data_dir)  # its config, record.json, also serves the replay
+    bench, record = tmp_path / "recorded", tmp_path / "record.json"
     capsys.readouterr()
     outputs, config = tmp_path / "outputs.jsonl", tmp_path / "train_config.json"
     outputs.write_text("".join(
@@ -339,6 +339,8 @@ def test_commands_load_only_what_they_run(tmp_path, data_dir, mock_config, capsy
         ("train-toy", ["--config", str(config), "train-toy", str(bench / "train_R.jsonl"),
                        "--preset", "full", "--out", str(tmp_path / "run")]),
         ("mine", ["--config", mock_config, "mine", corpus, "--out", str(tmp_path / "mined")]),
+        ("replay", ["--config", str(record), "--backend", "cache-only", "mine", corpus,
+                    "--out", str(tmp_path / "replayed")]),
         ("eval", ["eval", str(tmp_path / "scores.jsonl"), "--resamples", "100"]),
     ]
     src = Path(radreason.__file__).parents[1]
@@ -356,6 +358,10 @@ def test_commands_load_only_what_they_run(tmp_path, data_dir, mock_config, capsy
     # keys, which numpy < 2 has already loaded through numpy.random
     assert loaded["mine"][0] == 2
     assert set(loaded["mine"][1]) <= {"_hashlib"}
+    # a cache-only replay of the recording rejects the same two samples and
+    # still maps no numpy.random, which numpy < 2 loads with numpy itself
+    assert loaded["replay"][0] == 2
+    assert "numpy.random" not in loaded["replay"][1]
     # eval maps OpenSSL through numpy.random; where `import numpy` loads
     # numpy.ma itself (numpy < 2) it is never counted, so this holds there too
     assert loaded["eval"][0] == 0
@@ -758,7 +764,7 @@ def test_outputs_match_golden_digests(tmp_path, data_dir, monkeypatch, capsys):
     assert digests == _GOLDEN
 
 
-def test_mine_with_llm_matcher_builds_one_client(tmp_path, data_dir, monkeypatch):
+def test_mine_with_llm_matcher_builds_one_client(tmp_path, data_dir, monkeypatch, capsys):
     # the miner and its llm matcher share one completion client, so the
     # mock fixture is parsed once and one response cache serves both
     from radreason import llm
@@ -780,11 +786,14 @@ def test_mine_with_llm_matcher_builds_one_client(tmp_path, data_dir, monkeypatch
         }),
         encoding="utf-8",
     )
-    # the fixture holds no matcher responses, so the run stops at the first
-    # match request, after both parts of the command were built
-    main([
+    # the fixture holds no llm-matcher responses, so the run stops at its
+    # first extract request, after both parts of the command were built
+    rc = main([
         "--config", str(config),
         "mine", str(data_dir / "fixture_corpus.jsonl"),
         "--out", str(tmp_path / "bench"),
     ])
     assert loads == [str(data_dir / "mining_fixture.jsonl")]
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error: mock backend: no fixture response for key ")
+    assert err.endswith(" (template extract v1)\n")
