@@ -289,18 +289,19 @@ def read_jsonl(
             yield lineno, rec, record_fault(rec, fields)
 
 
-def map_in_order(fn: Callable, items: Sequence, workers: int) -> list:
-    """`fn` of each item, in item order. With `workers` > 1 the calls run on
-    that many threads, which overlap only calls that wait, such as requests
-    to a remote backend; the results are the same either way. The pool is
-    imported here: `concurrent.futures` brings `logging` with it, which a
-    one-worker run does not need."""
+def map_in_order(fn: Callable, items: Sequence, workers: int) -> Iterator:
+    """Yield `fn` of each item, in item order. With `workers` > 1 the calls
+    run on that many threads, which overlap only calls that wait, such as
+    requests to a remote backend; the results are the same either way. The
+    pool is imported here: `concurrent.futures` brings `logging` with it,
+    which a one-worker run does not need."""
     if workers <= 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        yield from pool.map(fn, items)
 
 
 # `json.dumps(obj, sort_keys=True, allow_nan=False)` without building an

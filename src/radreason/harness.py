@@ -139,21 +139,23 @@ def cmd_score(
 ) -> tuple[int, list[dict]]:
     """Score model outputs (JSONL: {"id", "output"}) against the corpus.
 
-    Emits one record per output, sorted by sample id; malformed lines,
-    unknown ids and unscorable outputs (a sample without report or
-    reasoning, an empty output) are collected as errors, located by line
-    and sorted by (id, line), and the run continues. An output's tags are
-    parsed once, for its scores and its rewards.
+    Writes one record per output as it is scored, sorted by sample id;
+    malformed lines, unknown ids and unscorable outputs (a sample without
+    report or reasoning, an empty output) are errors, located by line and
+    written last sorted by (id, line), and the run continues. An output's
+    tags are parsed once, for its scores and its rewards.
     """
-    rows, bad_lines = [], []
+    rows, errors = [], []
     for lineno, rec, reason in read_jsonl(outputs_path, _OUTPUT_FIELDS):
         if reason:
             # the error names the record's id when that is a string
             named = rec and kind_fault(rec.get("id"), Kind.STRING) is None
-            bad_lines.append({"id": rec["id"] if named else None, "line": lineno,
-                              "error": reason})
+            errors.append({"id": rec["id"] if named else None, "line": lineno,
+                           "error": reason})
         else:
             rows.append((lineno, rec["id"], rec["output"]))
+    lines = len(rows) + len(errors)
+    rows.sort(key=itemgetter(1))  # stable: an id's outputs keep their line order
     by_id = {s.id: s for s in corpus.samples}
 
     def _one(row):
@@ -175,13 +177,17 @@ def cmd_score(
         }
         return record, None
 
-    results = map_in_order(_one, rows, workers)
-    records = sorted((r for r, _ in results if r), key=lambda r: r["id"])
-    errors = sorted(
-        [e for _, e in results if e] + bad_lines, key=lambda e: (e["id"] or "", e["line"])
-    )
-    write_jsonl(out_path, [*records, *({"error_record": e} for e in errors)])
-    return len(records), errors
+    def _records():
+        for record, error in map_in_order(_one, rows, workers):
+            if record:
+                yield record
+            else:
+                errors.append(error)
+        errors.sort(key=lambda e: (e["id"] or "", e["line"]))
+        yield from ({"error_record": e} for e in errors)
+
+    write_jsonl(out_path, _records())
+    return lines - len(errors), errors  # a line gives one record or one error
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import re
 import threading
 import time
@@ -17,6 +18,7 @@ import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
@@ -43,27 +45,31 @@ class CompletionRequest:
 
     @cached_property
     def idempotency_key(self) -> str:
-        payload = dumps_sorted(
-            {
-                "template_id": self.template_id,
-                "template_version": self.template_version,
-                "prompt": self.prompt,
-                "temperature": TEMPERATURE,
-                "max_tokens": MAX_TOKENS,
-            }
-        )
-        return _sha256(payload.encode("utf-8")).hexdigest()
+        return _request_sha256(self.template_id, self.template_version, self.prompt).hexdigest()
 
 
-def _sha256(data: bytes):
-    """hashlib's SHA-256 of `data`. hashlib is imported at the first request
-    hashed, not with this module: it maps OpenSSL (about 3.5 MB resident),
-    which a command that sends no request does not need, and its SHA-256
-    hashes a 600-byte prompt three to four times as fast as the
-    interpreter's own."""
+def _request_sha256(template_id: str, template_version: str, prompt: str):
+    """SHA-256 of `dumps_sorted` of a request's payload (its three fields
+    and the decoding constants), the one identity that keys the cache and
+    the mock fixture. The prompt is spliced into the cached frame by
+    `encode_basestring_ascii`, the string encoder of `dumps_sorted`, so the
+    bytes are the payload's own. hashlib is imported here: it maps OpenSSL
+    (about 3.5 MB resident), which a command that sends no request does not
+    need, and hashes a 600-byte prompt 3-4x as fast as the interpreter's."""
     import hashlib
 
-    return hashlib.sha256(data)
+    head, tail = _payload_frame(template_id, template_version)
+    return hashlib.sha256(head + encode_basestring_ascii(prompt).encode("ascii") + tail)
+
+
+@lru_cache(maxsize=64)  # bounded: a fixture record may name any template
+def _payload_frame(template_id: str, template_version: str) -> tuple[bytes, bytes]:
+    """`dumps_sorted` of a payload with an empty prompt, cut around its
+    quotes (only `"max_tokens"` sorts before `"prompt"`)."""
+    payload = dumps_sorted(dict(template_id=template_id, template_version=template_version,
+                                prompt="", temperature=TEMPERATURE, max_tokens=MAX_TOKENS))
+    head, _, tail = payload.partition('"prompt": ""')
+    return (head + '"prompt": ').encode("ascii"), tail.encode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +174,6 @@ class ResponseCache:
 # ---------------------------------------------------------------------------
 # backends
 
-def _request_digest(template_id: str, template_version: str, prompt: str) -> bytes:
-    """SHA-256 over a request's fields: the template id and version by
-    `repr`, each followed by a NUL (no repr holds one), then the prompt's
-    UTF-8 bytes. It is equal exactly when the idempotency keys are, without
-    JSON."""
-    head = f"{template_id!r}\0{template_version!r}\0"
-    return _sha256(head.encode("utf-8") + prompt.encode("utf-8", "surrogatepass")).digest()
-
-
 _FIXTURE_FIELDS = dict.fromkeys(
     ("template_id", "template_version", "prompt", "response"), Kind.STRING)
 
@@ -193,8 +190,9 @@ def _fixture_fault(rec: dict) -> Optional[str]:
 
 class MockBackend:
     """Fixture-keyed canned responses; never touches the network. The
-    fixture is indexed by `_request_digest`, so a request is matched
-    without computing its idempotency key; a miss names that key."""
+    fixture is indexed by the 32 raw bytes of each record's idempotency
+    key, and a request is found by the key the client computed for the
+    cache; a miss names that key."""
 
     def __init__(self, responses: dict[bytes, str]):
         self._responses = dict(responses)
@@ -210,15 +208,13 @@ class MockBackend:
             reason = reason or _fixture_fault(rec)
             if reason:
                 raise CompletionError(f"{path}:{lineno}: {reason}")
-            responses[_request_digest(
+            responses[_request_sha256(
                 rec["template_id"], rec["template_version"], rec["prompt"]
-            )] = rec["response"]
+            ).digest()] = rec["response"]
         return cls(responses)
 
     def complete(self, request: CompletionRequest) -> str:
-        response = self._responses.get(_request_digest(
-            request.template_id, request.template_version, request.prompt
-        ))
+        response = self._responses.get(bytes.fromhex(request.idempotency_key))
         if response is None:
             raise CompletionError(
                 f"mock backend: no fixture response for key {request.idempotency_key} "
@@ -230,8 +226,8 @@ class MockBackend:
 # the decoding parameters of every request, which its idempotency key covers
 TEMPERATURE = 0.0
 MAX_TOKENS = 1024
-# attempts at one request, the wait before the second (doubled for each
-# later one) and the timeout of one attempt, in seconds
+# attempts at one request, the longest wait before the second (doubled for
+# each later one) and the timeout of one attempt, in seconds
 MAX_RETRIES = 5
 BACKOFF_SECONDS = 0.5
 TIMEOUT_SECONDS = 60.0
@@ -252,12 +248,14 @@ def _retry_after_seconds(value: Optional[str]) -> float:
 
 
 class RemoteBackend:
-    """Chat-completion style HTTPS endpoint with bounded exponential backoff.
+    """Chat-completion style HTTPS endpoint with bounded exponential backoff
+    and full jitter: before attempt k+1 it waits a uniform draw from
+    [0, BACKOFF_SECONDS * 2**(k-1)] seconds.
 
     Retries transport errors, 5xx, 408 and 429, with no wait after the last
     attempt; any other error response fails at once. A 429 or 503 that
     carries a Retry-After in seconds waits the larger of that and the
-    backoff, or fails at once when it asks for more than
+    draw, or fails at once when it asks for more than
     MAX_RETRY_AFTER_SECONDS."""
 
     def __init__(self, base_url: str, model: str = "gpt-4o"):
@@ -285,7 +283,8 @@ class RemoteBackend:
         retry_after = 0.0
         for attempt in range(MAX_RETRIES):
             if attempt:
-                time.sleep(max(retry_after, BACKOFF_SECONDS * 2 ** (attempt - 1)))
+                backoff = random.uniform(0, BACKOFF_SECONDS * 2 ** (attempt - 1))
+                time.sleep(max(retry_after, backoff))
             retry_after = 0.0
             try:
                 resp = requests.post(

@@ -215,7 +215,7 @@ def mine_corpus(
         except (ExtractionError, MatchError) as e:
             return None, Rejection(sample.id, "mine", str(e))
 
-    results = map_in_order(_one, candidates, workers)
+    results = list(map_in_order(_one, candidates, workers))
     chains = sorted((c for c, _ in results if c), key=lambda c: c.sample_id)
     rejections = sorted((r for _, r in results if r), key=lambda r: r.sample_id)
     return chains, rejections

@@ -173,8 +173,7 @@ class SynonymTable:
 # ---------------------------------------------------------------------------
 # lexical extraction rules
 
-_SENTENCE_SPLIT = re.compile(r"[.!?;\n]+")
-_CLAUSE_SPLIT = re.compile(r",")
+_CLAUSE_SPLIT = re.compile(r"[.!?;\n,]+")
 
 # leading scaffolding stripped repeatedly from each clause
 _SCAFFOLD_PREFIXES = [
@@ -284,12 +283,9 @@ def lexical_extract(text: str, role: Role) -> ObservationSet:
     if not text.strip():
         raise ValueError("cannot extract observations from empty text")
     items: list[Observation] = []
-    for sentence in _SENTENCE_SPLIT.split(text):
-        if not sentence.strip():
-            continue
-        for clause in _CLAUSE_SPLIT.split(sentence):
-            if clause.strip():
-                items.extend(_clause_observations(clause))
+    for clause in _CLAUSE_SPLIT.split(text):
+        if clause.strip():
+            items.extend(_clause_observations(clause))
     return ObservationSet(tuple(items), role=role)
 
 
@@ -299,8 +295,6 @@ def lexical_extract(text: str, role: Role) -> ObservationSet:
 
 class LexicalMatcher:
     """Deterministic matcher: normalization + synonym folding + polarity."""
-
-    name = "lexical"
 
     def __init__(self, synonyms: Optional[SynonymTable] = None):
         self.synonyms = synonyms if synonyms is not None else SynonymTable.bundled()
@@ -356,8 +350,6 @@ _LIST_MARKER_RE = re.compile(r"^\s*(?:\d+[.)]|[-*])(?=\s|$)")
 class LlmMatcher:
     """Matcher that delegates to the completion backend (verdicts cacheable
     through the client's cache). Verdicts may be asymmetric."""
-
-    name = "llm"
 
     def __init__(self, client):
         # client: radreason.llm.CompletionClient

@@ -1,6 +1,8 @@
 import gc
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -9,8 +11,11 @@ from pathlib import Path
 
 import pytest
 import requests
+from hypothesis import given
+from hypothesis import strategies as st
 
 from radreason import llm
+from radreason.core import dumps_sorted
 from radreason.llm import (
     CacheMissError,
     CacheOnlyBackend,
@@ -57,6 +62,28 @@ class TestIdempotencyKey:
         assert (
             CompletionRequest(**base).idempotency_key
             != CompletionRequest(**{**base, **kwargs}).idempotency_key
+        )
+
+    # prompts rich in what JSON escapes: quotes, backslashes, control
+    # characters, newlines, and code points outside the BMP
+    @given(
+        name=st.sampled_from(sorted(
+            path.stem for path in Path(llm.__file__).parent.glob("data/templates/*.txt")
+        )),
+        prompt=st.text(st.sampled_from('"\\\n\r\t\x00\x1f\x7f\u2028\u00e9') | st.characters()
+                       | st.characters(min_codepoint=0x10000)),
+    )
+    def test_key_hashes_the_sorted_payload(self, name, prompt):
+        version, _ = load_template(name)
+        payload = {
+            "template_id": name,
+            "template_version": version,
+            "prompt": prompt,
+            "temperature": llm.TEMPERATURE,
+            "max_tokens": llm.MAX_TOKENS,
+        }
+        assert CompletionRequest(name, version, prompt).idempotency_key == (
+            hashlib.sha256(dumps_sorted(payload).encode("utf-8")).hexdigest()
         )
 
     def test_key_is_pinned(self):
@@ -165,11 +192,10 @@ class TestCache:
         assert client.complete(req) == "ok"
         assert backend.calls == 1
 
-    def test_client_without_cache_computes_no_key(self):
-        backend = MockBackend({llm._request_digest("plan", "1", "p"): "r"})
-        req = CompletionRequest("plan", "1", "p")
-        assert CompletionClient(backend).complete(req) == "r"
-        assert "idempotency_key" not in vars(req)
+    def test_mock_without_cache_answers_by_key(self):
+        key = CompletionRequest("plan", "1", "p").idempotency_key
+        backend = MockBackend({bytes.fromhex(key): "r"})
+        assert CompletionClient(backend).complete(CompletionRequest("plan", "1", "p")) == "r"
 
     def test_cache_only_replays_primed_cache(self, tmp_path):
         req = CompletionRequest("plan", "1", "p")
@@ -353,9 +379,10 @@ OK = FakeResponse(200, {"choices": [{"message": {"content": "done"}}]})
 
 
 class TestRemoteBackend:
-    """Scripted `requests.post` replies; no network, no real waiting."""
+    """Scripted `requests.post` replies; no network, no real waiting. Unless
+    `jitter` is set, each backoff draw is pinned to its upper bound."""
 
-    def _run(self, monkeypatch, replies, max_retries=5):
+    def _run(self, monkeypatch, replies, max_retries=5, jitter=False):
         posts, sleeps = [], []
 
         def post(*args, **kwargs):
@@ -368,6 +395,8 @@ class TestRemoteBackend:
         monkeypatch.setenv("RADREASON_API_KEY", "test-key")
         monkeypatch.setattr(requests, "post", post)
         monkeypatch.setattr(llm.time, "sleep", sleeps.append)
+        if not jitter:
+            monkeypatch.setattr(random, "uniform", lambda low, high: high)
         monkeypatch.setattr(llm, "MAX_RETRIES", max_retries)
         backend = RemoteBackend("https://example.invalid")
         try:
@@ -398,6 +427,15 @@ class TestRemoteBackend:
         assert result == "done"
         assert len(posts) == 5
         assert sleeps == [0.5, 1.0, 2.0, 4.0]
+
+    def test_backoff_draws_stay_within_their_bounds(self, monkeypatch):
+        replies = [FakeResponse(503)] * 3 + [FakeResponse(429, headers={"Retry-After": "3"}), OK]
+        runs = [self._run(monkeypatch, replies, jitter=True) for _ in range(20)]
+        for result, posts, sleeps in runs:
+            assert (result, len(posts), len(sleeps)) == ("done", 5, 4)
+            assert all(0 <= wait <= 0.5 * 2**k for k, wait in enumerate(sleeps[:3]))
+            assert 3.0 <= sleeps[3] <= 4.0  # Retry-After is a floor under the draw
+        assert len({sleeps[0] for _, _, sleeps in runs}) > 1
 
     def test_request_timeout_status_retried(self, monkeypatch):
         result, posts, sleeps = self._run(monkeypatch, [FakeResponse(408), OK])

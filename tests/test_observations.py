@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 from unittest.mock import patch
@@ -113,6 +114,15 @@ class TestExtraction:
             "no pneumothorax",
         )
         assert all(o.polarity is Polarity.ABSENT_OR_NORMAL for o in obs.items)
+
+    @given(st.text(st.sampled_from(".!?;\n, \tab")))
+    def test_one_split_gives_the_clauses_of_sentences_then_commas(self, text):
+        by_sentence = [
+            clause
+            for sentence in re.split(r"[.!?;\n]+", text) if sentence.strip()
+            for clause in sentence.split(",") if clause.strip()
+        ]
+        assert [c for c in observations._CLAUSE_SPLIT.split(text) if c.strip()] == by_sentence
 
     def test_present_and_normal_mix(self):
         obs = lexical_extract("Mild cardiomegaly. Clear lungs.", Role.REPORT)
