@@ -15,8 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from radreason.core import Corpus, Option, TaskType, VqaSample, save_corpus, write_jsonl
-from radreason.llm import render_template
-from radreason.mining import EvidenceStep, plan_request, refine_request
+from radreason.mining import EvidenceStep, evidence_request, plan_request, refine_request
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "tests" / "data"
 
@@ -263,10 +262,7 @@ def build_fixture_records(samples: list[VqaSample]) -> list[dict]:
         )
         add(plan_request(sample), plan_text)
         for goal, evidence in zip(canned["goals"], canned["evidence"]):
-            add(
-                render_template("evidence", goal=goal, report=sample.report),
-                evidence,
-            )
+            add(evidence_request(goal, sample.report), evidence)
         # the refine request reads only each step's goal, order and evidence
         steps = [
             EvidenceStep(goal=goal, order=i, evidence=evidence, inferred=False)

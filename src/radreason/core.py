@@ -398,11 +398,10 @@ _COT_SUFFIX = (
 )
 
 
-def _options_text(sample: VqaSample) -> str:
-    if not sample.options:
-        return ""
-    parts = " ".join(f"{o.label}) {o.text}" for o in sample.options)
-    return f" Options: {parts}"
+def options_line(sample: VqaSample) -> str:
+    """The options as `A) yes B) no`, whose leading labels the outcome reward
+    reads; empty when there are none."""
+    return " ".join(f"{o.label}) {o.text}" for o in sample.options)
 
 
 def render_instruction(sample: VqaSample, mode: PromptMode) -> str:
@@ -413,7 +412,8 @@ def render_instruction(sample: VqaSample, mode: PromptMode) -> str:
     """
     placeholders = IMAGE_TOKEN * len(sample.images)
     suffix = _COT_SUFFIX if mode is PromptMode.COT else _DIRECT_SUFFIX
-    user = f"User: {placeholders}{sample.question}{_options_text(sample)}{suffix}"
+    options = f" Options: {options_line(sample)}" if sample.options else ""
+    user = f"User: {placeholders}{sample.question}{options}{suffix}"
     return f"{_SYSTEM_LINE}\n{user}"
 
 

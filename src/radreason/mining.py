@@ -24,13 +24,15 @@ from .core import (
     items_fault,
     label_by_answer,
     map_in_order,
+    options_line,
     read_jsonl,
     sample_to_record,
     write_json,
     write_jsonl,
 )
 from .llm import CompletionClient, CompletionRequest, render_template
-from .observations import ExtractionError, MatchError
+from .observations import ANSWER_LEAD_IN, ExtractionError, MatchError
+from .rewards import answer_reward
 from .scoring import report_factuality
 
 
@@ -119,10 +121,15 @@ def _parse_list(raw: str) -> list[str]:
 
 def plan_request(sample: VqaSample) -> CompletionRequest:
     """The request of step 1 for a sample: its question, options and report."""
-    options = " ".join(f"{o.label}) {o.text}" for o in sample.options) or "(open-ended)"
+    options = options_line(sample) or "(open-ended)"
     return render_template(
         "plan", question=sample.question, options=options, report=sample.report
     )
+
+
+def evidence_request(goal: str, report: str) -> CompletionRequest:
+    """The request of step 2 for one plan goal: the goal and the report."""
+    return render_template("evidence", goal=goal, report=report)
 
 
 def refine_request(sample: VqaSample, steps: Iterable[EvidenceStep]) -> CompletionRequest:
@@ -151,8 +158,7 @@ def extract_evidence(
 ) -> EvidenceStep:
     """Step 2: evidence from the report for plan goal number `order`, or an
     inferred 'normal'/'no disease'."""
-    request = render_template("evidence", goal=goal, report=report)
-    raw = client.complete(request).strip()
+    raw = client.complete(evidence_request(goal, report)).strip()
     inferred = raw.lower().strip(".\"' ") in _INFERRED_FORMS
     return EvidenceStep(goal=goal, order=order, evidence=raw, inferred=inferred)
 
@@ -163,16 +169,20 @@ def refine_chain(
     client: CompletionClient,
     matcher,
 ) -> MinedChain:
-    """Step 3: integrate steps into a coherent narrative; populate factuality."""
+    """Step 3: integrate steps into a coherent narrative whose stated answer
+    earns the full outcome reward; populate factuality."""
     if not steps:
         raise ValueError("refine_chain requires at least one evidence step")
     narrative = client.complete(refine_request(sample, steps)).strip()
     if not narrative:
         raise MiningError(sample.id, "refine", "empty narrative")
-    if sample.answer_text().casefold() not in narrative.casefold():
-        raise MiningError(
-            sample.id, "refine", "narrative conclusion contradicts the answer"
-        )
+    # the stated answer: the last sentence, after its `answer is` lead-in
+    last = re.split(r"(?<=[.!?])\s+", narrative)[-1]
+    lead_in = ANSWER_LEAD_IN.search(last)
+    stated = last[lead_in.end():].strip() if lead_in else last
+    if answer_reward(stated, sample, matcher) < 1.0:
+        raise MiningError(sample.id, "refine", f"narrative concludes {stated!r}, "
+                          f"not the answer {sample.answer_text()!r}")
     r_f = report_factuality(narrative, sample.report, matcher).value
     return MinedChain(
         sample_id=sample.id, steps=tuple(steps), narrative=narrative, r_f=r_f

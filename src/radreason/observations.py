@@ -218,8 +218,8 @@ _TRAILING_RE = re.compile(
 
 _EMPTY_CLAUSES = frozenset({"", "i", "we", "it", "this", "that"})
 
-# clauses that restate the chosen option rather than a clinical observation
-_DROP_RES = [re.compile(r"^(?:the )?(?:correct |final )?answer is\b")]
+# a stated answer's lead-in: extraction drops its clause, mining reads after it
+ANSWER_LEAD_IN = re.compile(r"(?:the )?(?:correct |final )?answer is\b", re.IGNORECASE)
 
 
 def _strip_scaffolding(clause: str) -> str:
@@ -259,7 +259,7 @@ def _clause_observations(clause: str) -> tuple[Observation, ...]:
     share)."""
     clause = _strip_scaffolding(clause)
     norm = normalize_phrase(_TRAILING_RE.sub("", clause.strip()))
-    if norm in _EMPTY_CLAUSES or any(rx.match(norm) for rx in _DROP_RES):
+    if norm in _EMPTY_CLAUSES or ANSWER_LEAD_IN.match(norm):
         return ()
     forms = _fold_negation(norm)
     if forms == [norm]:

@@ -7,7 +7,6 @@ an additional process-factuality component. Components are summed unweighted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .core import CLOSE_ENDED_TASKS, PartitionTag, VqaSample
 from .observations import LexicalMatcher
@@ -37,7 +36,8 @@ def format_reward(tagged: TaggedOutput, partition: PartitionTag) -> int:
 
 
 def _normalize_answer(text: str) -> str:
-    return " ".join(text.strip().split()).casefold()
+    # a closing period is not part of the answer: "no." states "no"
+    return " ".join(text.rstrip().rstrip(".!?").split()).casefold()
 
 
 def _match_close_ended(answer_text: str, sample: VqaSample) -> float:
@@ -52,14 +52,19 @@ def _match_close_ended(answer_text: str, sample: VqaSample) -> float:
     return 0.0
 
 
-def outcome_reward(tagged: TaggedOutput, sample: VqaSample, matcher) -> float:
+def answer_reward(answer: str, sample: VqaSample, matcher) -> float:
     """Exact label match for close-ended tasks; `entity_f1` under `matcher`
-    for open-ended generation. Missing answer tag scores 0."""
+    for open-ended generation. Outcome reward and mining both judge by it."""
+    if sample.task in CLOSE_ENDED_TASKS:
+        return _match_close_ended(answer, sample)
+    return entity_f1(answer, sample.answer, matcher)
+
+
+def outcome_reward(tagged: TaggedOutput, sample: VqaSample, matcher) -> float:
+    """`answer_reward` of the answer tag; a missing answer tag scores 0."""
     if tagged.answer is None:
         return 0.0
-    if sample.task in CLOSE_ENDED_TASKS:
-        return _match_close_ended(tagged.answer, sample)
-    return entity_f1(tagged.answer, sample.answer, matcher)
+    return answer_reward(tagged.answer, sample, matcher)
 
 
 def process_reward(tagged: TaggedOutput, sample: VqaSample, matcher) -> float:
@@ -81,13 +86,10 @@ class RewardConfig:
     use_process_reward: bool = True
 
 
-def total_reward(
-    output: str, sample: VqaSample, config: Optional[RewardConfig] = None
-) -> RewardBreakdown:
+def total_reward(output: str, sample: VqaSample, config: RewardConfig) -> RewardBreakdown:
     """Unweighted component sum under the sample's partition; process
     component only on reasoning-augmented samples (and only when enabled by
     config). The output's tags are parsed once, for all three components."""
-    config = config or RewardConfig()
     partition = sample.partition
     if partition is None:
         raise ValueError(f"sample {sample.id}: partition undefined (mixed sample)")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from radreason.core import (
     Corpus,
     CorpusError,
+    Option,
     TaskType,
     VqaSample,
     label_by_answer,
@@ -25,6 +26,7 @@ from radreason.mining import (
     balance,
     build_plans,
     compile_benchmark,
+    evidence_request,
     extract_evidence,
     filter_by_factuality,
     mine_corpus,
@@ -84,6 +86,11 @@ class TestRequests:
         assert "A) atelectasis B) pneumonia C) normal study" in prompt
         assert "Bibasilar atelectasis. No pneumothorax." in prompt
         assert "(open-ended)" in plan_request(fixture_samples["f005"]).prompt
+
+    def test_evidence_request_holds_goal_and_report(self, fixture_samples):
+        request = evidence_request("Assess heart size", fixture_samples["f007"].report)
+        assert (request.template_id, request.template_version) == ("evidence", "1")
+        assert "Assess heart size" in request.prompt and "Mild cardiomegaly." in request.prompt
 
     def test_refine_request_numbers_steps_from_one(self, fixture_samples):
         steps = [
@@ -170,6 +177,73 @@ class TestMineCorpus:
             mine_corpus(fixture_corpus, client, matcher, workers=workers)
 
 
+REPORT = "Small left pleural effusion. The heart size is normal."
+YES_NO = (Option("A", "yes"), Option("B", "no"))
+CONCLUSION_SAMPLES = {
+    "single": VqaSample(
+        id="c1", task=TaskType.SINGLE_DIAGNOSIS, images=("img/c1.png",),
+        question="What is the most likely diagnosis?",
+        options=(Option("A", "cardiomegaly"), Option("B", "pleural effusion"),
+                 Option("C", "normal study")),
+        answer="B", report="Small left pleural effusion. No cardiomegaly.",
+    ),
+    "no": VqaSample(id="c2", task=TaskType.BINARY_DIAGNOSIS, images=("img/c2.png",),
+                    question="Is there cardiomegaly?", options=YES_NO, answer="B",
+                    report=REPORT),
+    "yes": VqaSample(id="c3", task=TaskType.BINARY_DIAGNOSIS, images=("img/c3.png",),
+                     question="Is there a pleural effusion?", options=YES_NO, answer="A",
+                     report=REPORT),
+    "anomaly": VqaSample(id="c4", task=TaskType.ANOMALY_DETECTION, images=("img/c4.png",),
+                         question="Identify any abnormality.", options=(),
+                         answer="cardiomegaly",
+                         report="Moderate cardiomegaly. Small left pleural effusion."),
+}
+
+
+class TestConclusion:
+    """A narrative is kept only when its stated answer, the last sentence
+    after its `answer is` lead-in, earns the full outcome reward."""
+
+    @pytest.mark.parametrize("sample, narrative, rejected_as", [
+        # (substring test: kept) pleural effusion is named, cardiomegaly concluded
+        ("single", "Small left pleural effusion. No cardiomegaly. The answer is cardiomegaly.",
+         "cardiomegaly."),
+        # (substring test: kept) "no" is inside "normal"
+        ("no", "Small left pleural effusion. The heart size is normal. The answer is yes.",
+         "yes."),
+        ("yes", "Small left pleural effusion. The heart size is normal. The answer is no.",
+         "no."),
+        # (substring test: kept) the answer stated first, another sentence last
+        ("yes", "The answer is yes. Small left pleural effusion.",
+         "Small left pleural effusion."),
+        # (substring test: kept) cardiomegaly is named, pleural effusion concluded
+        ("anomaly", "Moderate cardiomegaly. Small left pleural effusion. "
+                    "The answer is pleural effusion.", "pleural effusion."),
+        ("anomaly", "Moderate cardiomegaly. The answer is cardiomegaly.", None),
+        ("single", "Small left pleural effusion. The answer is B) pleural effusion.", None),
+        ("single", "Small left pleural effusion. The answer is B.", None),
+        ("single", "Small left pleural effusion. The final answer is pleural effusion!", None),
+        ("yes", "Small left pleural effusion. Therefore, the answer is yes.", None),
+        ("yes", "Small left pleural effusion. The answer is yes", None),
+        ("no", "The heart size is normal. The answer is B) no.", None),
+        # (substring test: kept) no lead-in: the whole last sentence is the stated answer
+        ("no", "The heart size is normal. So yes.", "So yes."),
+    ])
+    def test_conclusion_table(self, matcher, sample, narrative, rejected_as):
+        sample = CONCLUSION_SAMPLES[sample]
+        step = EvidenceStep("Assess the chest", 0, "Small left pleural effusion", False)
+        client = CompletionClient(ByTemplate({"refine": narrative}))
+        if rejected_as is None:
+            assert refine_chain(sample, [step], client, matcher).narrative == narrative
+            return
+        with pytest.raises(MiningError) as e:
+            refine_chain(sample, [step], client, matcher)
+        assert (e.value.stage, e.value.reason) == (
+            "refine", f"narrative concludes {rejected_as!r}, "
+                      f"not the answer {sample.answer_text()!r}",
+        )
+
+
 class TestFactualityFilter:
     @pytest.mark.parametrize("matcher_name", ["matcher", "plain_matcher"])
     def test_r_f_is_the_process_reward_of_the_narrative(
@@ -187,9 +261,12 @@ class TestFactualityFilter:
             assert c.r_f == process_reward(tagged, sample, matcher), c.sample_id
 
     @pytest.mark.parametrize("narrative", [
-        "No pneumothorax. Small left pleural effusion. So yes.",  # a leniency credit
-        "No pleural effusion. Lungs are clear. So yes.",  # credits against the report
-        "Right pneumothorax. Small left pleural effusion. So yes.",  # one ungrounded
+        # a leniency credit
+        "No pneumothorax. Small left pleural effusion. The answer is yes.",
+        # credits against the report
+        "No pleural effusion. Lungs are clear. The answer is yes.",
+        # one ungrounded
+        "Right pneumothorax. Small left pleural effusion. The answer is yes.",
     ])
     def test_refined_r_f_is_the_process_reward_with_leniency(
         self, fixture_samples, matcher, narrative

@@ -61,6 +61,14 @@ class TestOutcomeReward:
         tagged = parse_tags("<answer>yes</answer>")
         assert outcome_reward(tagged, make_sample(), matcher) == 1.0
 
+    @pytest.mark.parametrize("answer, reward", [
+        ("no.", 1.0), ("No", 1.0), ("B.", 1.0), ("no!", 1.0), (" No . ", 1.0),
+        ("A.", 0.0), ("yes.", 0.0), ("A) yes.", 0.0),
+    ])
+    def test_closing_period_is_not_part_of_the_answer(self, matcher, answer, reward):
+        tagged = parse_tags(f"<answer>{answer}</answer>")
+        assert outcome_reward(tagged, make_sample(answer="B"), matcher) == reward
+
     def test_leading_label_match(self, matcher):
         s = make_sample(
             task=TaskType.SINGLE_DIAGNOSIS,
@@ -130,7 +138,7 @@ class TestProcessReward:
 class TestTotalReward:
     def test_answer_only_composition(self):
         s = make_sample()
-        b = total_reward("<answer>A</answer>", s)
+        b = total_reward("<answer>A</answer>", s, RewardConfig())
         assert (b.format, b.outcome, b.process, b.total) == (1.0, 1.0, 0.0, 2.0)
 
     def test_reasoning_composition(self, matcher):
@@ -147,10 +155,10 @@ class TestTotalReward:
         assert b.process == 0.0 and b.total == 2.0
 
     def test_partition_inferred_from_sample(self):
-        b = total_reward("<answer>A</answer>", make_sample())
+        b = total_reward("<answer>A</answer>", make_sample(), RewardConfig())
         assert b.total == 2.0
 
     def test_mixed_sample_rejected(self):
         mixed = make_sample(report="Effusion.")
         with pytest.raises(ValueError, match="partition"):
-            total_reward("<answer>A</answer>", mixed)
+            total_reward("<answer>A</answer>", mixed, RewardConfig())
