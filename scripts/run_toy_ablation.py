@@ -1,6 +1,11 @@
 """Run every training preset on the synthetic diagnosis task through
 `radreason train-toy` and tabulate final reward and probe factuality.
 
+The probe factuality is the last non-null `process_factuality` of a run's
+`stats.jsonl`: the mean process reward of the outputs that GRPO step
+sampled for reasoning-augmented prompts, before the step's update. Presets
+without such prompts in their GRPO data, or without GRPO, show nan.
+
 Each run uses the recipe `train-toy` runs with no config; `--steps` sets
 only the GRPO step count (the config key `grpo.steps`). Exits 1 as soon as
 a `train-toy` run fails.

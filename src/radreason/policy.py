@@ -149,20 +149,11 @@ def seeded_uniforms(entropies: Sequence[Sequence[int]], length: int) -> np.ndarr
     return out
 
 
-def group_uniforms(
-    seeds: Sequence[int | tuple[int, ...]], group_size: int, length: int
-) -> np.ndarray:
+def group_uniforms(seeds: Sequence[int], group_size: int, length: int) -> np.ndarray:
     """The uniforms of group_size samples for each seed, the groups one
     after another: sample i of the group seeded s reads the row of entropy
-    (s, i), a tuple s standing for its items."""
-    return seeded_uniforms(
-        [
-            (*head, i)
-            for head in (s if isinstance(s, tuple) else (s,) for s in seeds)
-            for i in range(group_size)
-        ],
-        length,
-    )
+    (s, i)."""
+    return seeded_uniforms([(s, i) for s in seeds for i in range(group_size)], length)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -468,8 +459,13 @@ class GrpoConfig:
             raise ValueError("group_size must be >= 2")
         if not 0.0 < self.clip_eps < 1.0:
             raise ValueError("clip_eps must lie in (0, 1)")
-        if self.kl_coef < 0:
+        # written `not x >= 0` so that NaN is refused too
+        if not self.kl_coef >= 0:
             raise ValueError("kl_coef must be non-negative")
+        if not self.entropy_coef >= 0:
+            raise ValueError("entropy_coef must be >= 0")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be > 0")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         if self.clip_mode not in ("standard", "literal"):

@@ -36,8 +36,9 @@ def format_reward(tagged: TaggedOutput, partition: PartitionTag) -> int:
 
 
 def _normalize_answer(text: str) -> str:
-    # a closing period is not part of the answer: "no." states "no"
-    return " ".join(text.rstrip().rstrip(".!?").split()).casefold()
+    # a closing period is not part of the answer, nor is a colon after the
+    # lead-in: "no." and ": no" state "no"
+    return " ".join(text.strip().rstrip(".!?").lstrip(":").split()).casefold()
 
 
 def _match_close_ended(answer_text: str, sample: VqaSample) -> float:

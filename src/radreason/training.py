@@ -97,6 +97,8 @@ class SftConfig:
     steps: int = 25
 
     def __post_init__(self) -> None:
+        if not self.learning_rate > 0:  # NaN too
+            raise ValueError("learning_rate must be > 0")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
 
@@ -111,7 +113,8 @@ class StepStats:
     mean_outcome: Optional[float] = None
     mean_process: Optional[float] = None
     mean_kl: Optional[float] = None
-    process_factuality: Optional[float] = None  # probe on reasoning-augmented prompts
+    # probe steps: mean process reward of the step's own batch on reasoning-augmented prompts
+    process_factuality: Optional[float] = None
     # share of groups whose rewards were all equal: zero advantage, no signal
     zero_advantage_share: Optional[float] = None
 
@@ -151,60 +154,25 @@ def _group_rewards(
     ]
 
 
-def _probe_factuality(
-    policy: ToyPolicy,
-    windows: Windows,
-    probe_samples: list[VqaSample],
-    matcher,
-    uniforms: np.ndarray,
-) -> float:
-    """Diagnostic mean process factuality of fresh samples on reasoning-
-    augmented prompts (`windows` holds their prompts); measured for every
-    preset, rewarded only by some."""
-    batch = sample_group(policy, windows, uniforms)
-    group_size = len(batch.outputs) // len(probe_samples)
-    values = [
-        process_reward(
-            parse_tags(detokenize(o, policy.eos_token)),
-            probe_samples[k // group_size],
-            matcher,
-        )
-        for k, o in enumerate(batch.outputs)
-    ]
-    return float(np.mean(values))
-
-
 PROBE_EVERY = 25  # GRPO steps between factuality probes (plus first and last)
 DRAW_ROWS = 2_048  # sample uniforms drawn at once, in whole steps
 
 
-def _step_uniforms(cfg: GrpoConfig, n_samples: int, n_probes: int, length: int):
-    """Yield each GRPO step's sample uniforms, and its probe's (None on a
-    step without a probe). They do not depend on theta, so they are drawn a
-    block of about DRAW_ROWS rows at a time. Sample i of prompt j at step t
-    is seeded [seed * 1_000_003 + t * 1_009 + j, i]; sample i of probe
-    prompt j, [seed * 7_368_787 + t, j, i]."""
+def _step_uniforms(cfg: GrpoConfig, n_samples: int, length: int):
+    """Yield each GRPO step's sample uniforms. They do not depend on theta,
+    so they are drawn a block of about DRAW_ROWS rows at a time. Sample i of
+    prompt j at step t is seeded [seed * 1_000_003 + t * 1_009 + j, i]."""
     G, steps = cfg.group_size, cfg.steps
     block = max(1, DRAW_ROWS // (n_samples * G))
     for first in range(0, steps, block):
         block_steps = range(first, min(first + block, steps))
-        probing = [
-            t
-            for t in block_steps
-            if n_probes and (t == 0 or t == steps - 1 or (t + 1) % PROBE_EVERY == 0)
-        ]
-        seeds: list = [
+        seeds = [
             cfg.seed * 1_000_003 + t * 1_009 + j
             for t in block_steps
             for j in range(n_samples)
         ]
-        seeds += [(cfg.seed * 7_368_787 + t, j) for t in probing for j in range(n_probes)]
         drawn = group_uniforms(seeds, G, length)
-        split = len(block_steps) * n_samples * G
-        step_rows = drawn[:split].reshape(len(block_steps), n_samples * G, length)
-        probe_rows = iter(drawn[split:].reshape(len(probing), n_probes * G, length))
-        for t, uniforms in zip(block_steps, step_rows):
-            yield uniforms, next(probe_rows) if t in probing else None
+        yield from drawn.reshape(len(block_steps), n_samples * G, length)
 
 
 def train_grpo(
@@ -217,31 +185,27 @@ def train_grpo(
     policy, all groups together, then applies one optimizer step along the
     mean of the group objectives. The policy that drew a batch is also the
     one its objective differentiates (one update per batch); the updated
-    policy serves that step's KL estimate and probe, then draws the next
-    batch. Fully deterministic given (corpus, config, seed)."""
+    policy serves that step's KL estimate, then draws the next batch. The
+    first, the last and every PROBE_EVERY-th step also probe the process
+    factuality of the batch (drawn before the update) on its reasoning-
+    augmented prompts, for every preset. Fully deterministic given
+    (corpus, config, seed)."""
     if len(corpus) == 0:
         raise PresetError("grpo stage: empty corpus")
     samples = sorted(corpus.samples, key=lambda s: s.id)
-    probe_samples = [
-        s for s in samples if s.partition is PartitionTag.REASONING_AUGMENTED
-    ]
+    reasoning = [j for j, s in enumerate(samples) if s.partition is PartitionTag.REASONING_AUGMENTED]
     # the rows every prompt can read: they do not depend on theta, so the
-    # tables serve the whole run
+    # table serves the whole run
     windows = Windows(
         policy, [render_instruction(s, prompt_mode_for(s)) for s in samples]
     )
-    probe_windows = Windows(
-        policy, [render_instruction(s, PromptMode.COT) for s in probe_samples]
-    )
-    G = cfg.group_size
+    G, eos = cfg.group_size, policy.eos_token
     stats = []
-    draws = _step_uniforms(cfg, len(samples), len(probe_samples), policy.max_length)
-    for step, (uniforms, probe_uniforms) in enumerate(draws):
+    draws = _step_uniforms(cfg, len(samples), policy.max_length)
+    for step, uniforms in enumerate(draws):
         batch = sample_group(policy, windows, uniforms)
         groups = [
-            _group_rewards(
-                batch.outputs[j * G : (j + 1) * G], sample, reward_cfg, policy.eos_token
-            )
+            _group_rewards(batch.outputs[j * G : (j + 1) * G], sample, reward_cfg, eos)
             for j, sample in enumerate(samples)
         ]
         rewards = np.array([[b.total for b in group] for group in groups])
@@ -249,14 +213,12 @@ def train_grpo(
         policy = policy.with_theta(policy.theta + cfg.learning_rate * grad)
 
         probe = None
-        if probe_uniforms is not None:
-            probe = _probe_factuality(
-                policy,
-                probe_windows,
-                probe_samples,
-                reward_cfg.matcher,
-                probe_uniforms,
-            )
+        if reasoning and (step in (0, cfg.steps - 1) or (step + 1) % PROBE_EVERY == 0):
+            probe = float(np.mean([
+                process_reward(parse_tags(detokenize(o, eos)), samples[j], reward_cfg.matcher)
+                for j in reasoning
+                for o in batch.outputs[j * G : (j + 1) * G]
+            ]))
         kl_new = kl_penalty(
             batch.logp_old, policy.sequence_log_probs(batch.tokens), cfg.kl_estimator
         )

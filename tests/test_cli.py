@@ -583,6 +583,13 @@ _MALFORMED = [
           ("sft-steps-negative", b'{"sft": {"steps": -1}}', "config: sft.steps must be >= 0"),
           ("grpo-group-size", b'{"grpo": {"group_size": 1}}',
            "config: grpo.group_size must be >= 2"),
+          ("grpo-rate-negative", b'{"grpo": {"learning_rate": -3}}',
+           "config: grpo.learning_rate must be > 0"),
+          ("sft-rate-negative", b'{"sft": {"learning_rate": -0.5}}',
+           "config: sft.learning_rate must be > 0"),
+          ("sft-rate-zero", b'{"sft": {"learning_rate": 0}}', "config: sft.learning_rate must be > 0"),
+          ("grpo-entropy-negative", b'{"grpo": {"entropy_coef": -1}}',
+           "config: grpo.entropy_coef must be >= 0"),
       ]],
     pytest.param("score-config", b'{"cache_dir": 5}', "config: key 'cache_dir' is not a string",
                  id="score-config-cache-dir"),

@@ -225,6 +225,7 @@ class TestConclusion:
         ("single", "Small left pleural effusion. The final answer is pleural effusion!", None),
         ("yes", "Small left pleural effusion. Therefore, the answer is yes.", None),
         ("yes", "Small left pleural effusion. The answer is yes", None),
+        ("yes", "Small left pleural effusion. The answer is: yes.", None),
         ("no", "The heart size is normal. The answer is B) no.", None),
         # (substring test: kept) no lead-in: the whole last sentence is the stated answer
         ("no", "The heart size is normal. So yes.", "So yes."),

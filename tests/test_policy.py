@@ -212,8 +212,8 @@ class TestSeededUniforms:
         assert by_count[3][0].tolist() == [0] and by_count[3][1].tolist() == [[1, 2, 3]]
 
     def test_group_rows_append_the_sample_index(self):
-        got = group_uniforms([7, (2**40, 3)], 3, 6)
-        entropies = [[7, i] for i in range(3)] + [[2**40, 3, i] for i in range(3)]
+        got = group_uniforms([7, 2**40], 3, 6)
+        entropies = [[7, i] for i in range(3)] + [[2**40, i] for i in range(3)]
         assert np.array_equal(got, seeded_uniforms(entropies, 6))
 
 
@@ -389,6 +389,12 @@ class TestGrpoConfig:
             {"steps": -1},
             {"clip_mode": "soft"},
             {"kl_estimator": "k2"},
+            {"entropy_coef": -1.0},
+            {"entropy_coef": float("nan")},
+            {"learning_rate": 0.0},
+            {"learning_rate": -3.0},
+            {"learning_rate": float("nan")},
+            {"kl_coef": float("nan")},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -69,6 +69,13 @@ class TestOutcomeReward:
         tagged = parse_tags(f"<answer>{answer}</answer>")
         assert outcome_reward(tagged, make_sample(answer="B"), matcher) == reward
 
+    @pytest.mark.parametrize("answer, reward", [
+        (": B", 1.0), (": no.", 1.0), (":No", 1.0), (" : B ", 1.0), (": A", 0.0), (": yes", 0.0),
+    ])
+    def test_colon_after_the_lead_in_is_not_part_of_the_answer(self, matcher, answer, reward):
+        tagged = parse_tags(f"<answer>{answer}</answer>")
+        assert outcome_reward(tagged, make_sample(answer="B"), matcher) == reward
+
     def test_leading_label_match(self, matcher):
         s = make_sample(
             task=TaskType.SINGLE_DIAGNOSIS,

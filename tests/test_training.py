@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from radreason.core import PartitionTag, PromptMode
+from radreason.core import PartitionTag, PromptMode, render_instruction
 from radreason import training
 from radreason.policy import GrpoConfig, group_uniforms, kl_penalty, sft_loss
-from radreason.rewards import RewardConfig
+from radreason.rewards import RewardConfig, process_reward
+from radreason.tags import parse_tags
 from radreason.training import (
     EOS_TOKEN,
     PresetError,
@@ -148,23 +149,57 @@ class TestGrpoStage:
         assert np.array_equal(trained.theta, before)
         assert [s.zero_advantage_share for s in stats] == [1.0, 1.0]
 
-    @pytest.mark.parametrize("n_probes", [0, 1, 2])
-    def test_step_uniforms_follow_the_seeding_scheme(self, monkeypatch, n_probes):
-        # blocks of 3 steps (2 prompts x 3 samples a step), probes inside
-        # and across blocks, a short last block
+    def test_step_uniforms_follow_the_seeding_scheme(self, monkeypatch):
+        # blocks of 3 steps (2 prompts x 3 samples a step), a short last block
         monkeypatch.setattr(training, "DRAW_ROWS", 20)
-        monkeypatch.setattr(training, "PROBE_EVERY", 3)
         cfg = GrpoConfig(group_size=3, steps=8, seed=5_000)
-        draws = list(training._step_uniforms(cfg, 2, n_probes, 5))
+        draws = list(training._step_uniforms(cfg, 2, 5))
         assert len(draws) == cfg.steps
-        for t, (uniforms, probe_uniforms) in enumerate(draws):
+        for t, uniforms in enumerate(draws):
             seeds = [5_000 * 1_000_003 + t * 1_009 + j for j in range(2)]
             assert np.array_equal(uniforms, group_uniforms(seeds, 3, 5))
-            if n_probes and t in (0, 2, 5, 7):
-                probe_seeds = [(5_000 * 7_368_787 + t, j) for j in range(n_probes)]
-                assert np.array_equal(probe_uniforms, group_uniforms(probe_seeds, 3, 5))
-            else:
-                assert probe_uniforms is None
+
+    @pytest.mark.parametrize("preset", ["full", "no_process_reward"])
+    def test_probe_reads_the_step_batch(self, corpus, monkeypatch, preset):
+        # one draw a step: the probe is the mean process reward of the
+        # batch's outputs for reasoning-augmented prompts
+        batches, sample_group = [], training.sample_group
+
+        def spy(*args):
+            batches.append(sample_group(*args))
+            return batches[-1]
+
+        monkeypatch.setattr(training, "sample_group", spy)
+        monkeypatch.setattr(training, "PROBE_EVERY", 3)
+        cfg = GrpoConfig(steps=7)
+        _, stats = run_preset(preset, corpus, make_toy_policy(corpus), SftConfig(steps=2), cfg)
+        grpo = [s for s in stats if s.stage == "grpo"]
+        assert len(batches) == len(grpo) == cfg.steps
+        assert [s.step for s in grpo if s.process_factuality is not None] == [0, 2, 5, 6]
+        by_prompt = {
+            render_instruction(s, PromptMode.COT): s
+            for s in corpus.samples
+            if s.partition is PartitionTag.REASONING_AUGMENTED
+        }
+        matcher = RewardConfig().matcher
+        for s, batch in zip(grpo, batches):
+            G = len(batch.outputs) // len(batch.windows.prompt_keys)
+            values = [
+                process_reward(parse_tags(detokenize(o)), by_prompt[key], matcher)
+                for j, key in enumerate(batch.windows.prompt_keys)
+                if key in by_prompt
+                for o in batch.outputs[j * G : (j + 1) * G]
+            ]
+            assert len(values) == len(by_prompt) * cfg.group_size
+            if s.process_factuality is not None:
+                assert s.process_factuality == float(np.mean(values))
+
+    def test_no_reasoning_prompts_no_probe(self, corpus):
+        _, stats = run_preset(
+            "rl_o", corpus, make_toy_policy(corpus), SftConfig(), GrpoConfig(steps=3)
+        )
+        assert len(stats) == 3
+        assert all(s.process_factuality is None for s in stats)
 
     def test_stats_report_all_components(self, corpus):
         policy = make_toy_policy(corpus)
@@ -264,6 +299,14 @@ class TestConfigs:
             "clip_mode": "standard",
             "kl_estimator": "log_ratio",
         }
+
+    @pytest.mark.parametrize("kwargs", [
+        {"learning_rate": 0.0}, {"learning_rate": -0.5}, {"learning_rate": float("nan")},
+        {"steps": -1},
+    ])
+    def test_invalid_sft_configs_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            SftConfig(**kwargs)
 
     def test_toy_policy_layout(self, corpus):
         policy = make_toy_policy(corpus)
